@@ -78,7 +78,6 @@ JournalEval parse_eval(const JsonValue& j) {
     }
   const JsonValue& snap = j.at("snap");
   e.snap.backend = parse_backend_snapshot(snap.at("backend"));
-  e.snap.cursor = snap.at("cursor").as_u64();
   e.snap.invocations = snap.at("inv").as_u64();
   e.snap.evaluations = snap.at("evals").as_u64();
   e.snap.ratings = snap.at("ratings").as_u64();
@@ -156,7 +155,10 @@ void TuningJournal::record_eval(const JournalEval& e) {
      << ",\"restores\":" << s.backend.restores
      << ",\"ckpt_bytes\":" << s.backend.checkpoint_bytes
      << ",\"swap\":" << (s.backend.swap_toggle ? "true" : "false")
-     << "},\"cursor\":" << s.cursor << ",\"inv\":" << s.invocations
+     // Every rating runs on its own member-local invocation cursor, so
+     // the evaluator-level "cursor" is a constant 0, kept for a stable
+     // record format.
+     << "},\"cursor\":0,\"inv\":" << s.invocations
      << ",\"evals\":" << s.evaluations << ",\"ratings\":" << s.ratings
      << ",\"exhausted\":" << s.exhausted
      << ",\"whl\":" << quote(hex_double(s.whole_program_surcharge)) << "}}";

@@ -66,7 +66,6 @@ struct JournalEval {
   /// dead weight kept for debuggability.
   struct Snapshot {
     sim::SimExecutionBackend::Snapshot backend;
-    std::size_t cursor = 0;
     std::size_t invocations = 0;
     std::size_t evaluations = 0;
     std::size_t ratings = 0;

@@ -55,15 +55,13 @@ RemoteRatingHost::RemoteRatingHost(const SessionSpec& spec)
 
   // The worker-side driver rates members only — no journal, no cache, no
   // fault layer (distributed mode refuses injectors before it gets
-  // here). search_threads = 1 selects batch member semantics, which
-  // rate_remote_member() requires.
+  // here).
   DriverOptions options;
   options.seed = spec.seed;
   options.window = spec.window;
   options.mbr = spec.mbr;
   options.improved_rbr = spec.improved_rbr;
   options.rbr_batch_pairs = spec.rbr_batch_pairs;
-  options.search_threads = 1;
   state_->driver = std::make_unique<TuningDriver>(
       *state_->workload, state_->profile, state_->trace, state_->machine,
       state_->effects, options);

@@ -50,6 +50,12 @@ struct DriverMetrics {
       "rating.window_samples", {10, 20, 40, 80, 160, 320, 640});
   obs::Gauge& mbr_residual = obs::gauge("rating.mbr_residual");
 
+  /// One finished rating: convergence tally plus window occupancy.
+  void observe(const JournalEval::RatingObs& o) {
+    (o.converged ? ratings_converged : ratings_exhausted).inc();
+    window_occupancy.observe(static_cast<double>(o.samples));
+  }
+
   static DriverMetrics& get() {
     static DriverMetrics metrics;
     return metrics;
@@ -66,9 +72,11 @@ struct RatingNotConverging : std::runtime_error {
 
 }  // namespace
 
-/// Rates configurations with one method over a shared invocation stream.
-/// The stream cursor advances monotonically across ratings, modelling the
-/// application continuing to run while versions are swapped in and out.
+/// Rates configurations with one method. Every rating is a batch member:
+/// its measurement stream is reseeded from the (seed, base, candidate)
+/// content and runs on a backend clone, and its state deltas merge in
+/// canonical candidate order — whether the batch runs inline, on a pool,
+/// in forked workers, or on a remote fleet.
 class TuningDriver::Evaluator final : public search::ConfigEvaluator {
 public:
   Evaluator(const TuningDriver& driver, rating::Method method,
@@ -98,80 +106,21 @@ public:
     PEAK_CHECK(driver.options_.coordinator == nullptr ||
                    driver.options_.isolate_workers == 0,
                "distributed tuning excludes isolate_workers");
-    // Basic RBR saves the full input set; improved RBR saves the
-    // range-analysis-narrowed Modified_Input slices.
-    backend_.set_checkpoint_bytes(
-        driver.profile_.input_sets.input_bytes(fn),
-        driver.profile_.checkpoint_plan.bytes(fn));
-    if (driver.options_.fault.injector != nullptr) {
-      backend_.set_fault_injector(driver.options_.fault.injector);
-      if (driver.options_.fault.guard_execution) {
-        guard_.emplace(backend_, quarantine_,
-                       driver.options_.fault.guard);
-        guard_->set_on_fault([this](const fault::FaultEvent& ev) {
-          pending_fail_keys_.insert(ev.config_key);
-          if (journal_ != nullptr) journal_->record_fault(ev);
-        });
-      }
-    }
-    // The persistent rating cache is sound only for batch-semantics
-    // ratings (content-seeded streams) without a fault injector
+    // The persistent rating cache is sound only without a fault injector
     // (injector verdicts depend on attempt/quarantine state that is not
     // part of the key).
-    if (driver.options_.rating_cache != nullptr && batched() &&
+    if (driver.options_.rating_cache != nullptr &&
         driver.options_.fault.injector == nullptr) {
       cache_ = driver.options_.rating_cache;
       init_cache_fingerprint();
     }
   }
 
+  /// A one-at-a-time rating is a singleton batch, so stream seeding,
+  /// caching, and journaling are the same for every search.
   double relative_improvement(const search::FlagConfig& base,
                               const search::FlagConfig& cfg) override {
-    // A pending SIGINT/SIGTERM surfaces here, between ratings — the last
-    // journaled evaluation is complete, so a later --resume run replays
-    // up to exactly this point.
-    support::check_shutdown();
-    // Batch mode funnels *every* rating through the batch machinery (as a
-    // singleton batch when a search asks for one config at a time), so
-    // stream seeding, caching, and journaling are uniform. rate_batch()
-    // does its own replay check.
-    if (batched())
-      return rate_batch(base, std::vector<search::FlagConfig>{cfg}).front();
-    if (replay_ != nullptr && replay_pos_ < replay_->evals.size())
-      return replay_eval(base, cfg);
-    // Counted at entry so an attempt abandoned mid-rating (see
-    // RatingNotConverging) is still accounted, keeping the registry
-    // counter equal to cost().configs_evaluated on every path.
-    ++evaluations_;
-    DriverMetrics::get().configs_evaluated.inc();
-    obs::ScopedSpan span("rate", "rating");
-    if (span.active())
-      span.add(obs::attr("method", rating::to_string(method_)));
-    pending_memo_.clear();
-    pending_validated_.clear();
-    pending_fail_keys_.clear();
-    pending_rating_obs_.clear();
-    // Deadlines and backoff are priced off the current best version.
-    if (guard_) guard_->set_reference(base);
-    double r = 0.0;
-    try {
-      if (method_ == rating::Method::kRBR) {
-        r = rbr_ratio(base, cfg);
-      } else {
-        const double e_base = rate_time(base);
-        const double e_cfg = rate_time(cfg);
-        PEAK_CHECK(e_cfg > 0.0, "non-positive rating");
-        r = e_base / e_cfg;
-      }
-      maybe_validate(cfg, r);
-    } catch (const fault::ConfigFailed&) {
-      // The configuration cannot be measured: quarantined, retry budget
-      // exhausted, or miscompiled. Report "no improvement" so the search
-      // moves on; excluded() keeps it from ever being probed again.
-      r = 0.0;
-    }
-    record_eval(base, cfg, r);
-    return r;
+    return rate_batch(base, std::vector<search::FlagConfig>{cfg}).front();
   }
 
   /// Quarantined configurations are hard-excluded: the search emits a
@@ -180,23 +129,18 @@ public:
     return quarantine_.contains(cfg.key());
   }
 
-  [[nodiscard]] bool batched() const override {
-    return driver_.options_.search_threads >= 1 ||
-           driver_.options_.isolate_workers >= 1 ||
-           driver_.options_.coordinator != nullptr;
-  }
-
-  /// Batch-semantics evaluation of one probe round. Every candidate is a
-  /// pure function of (seed, base, candidate): its measurement stream is
-  /// reseeded from that content and it runs on a per-slot backend clone,
-  /// so results do not depend on thread count, scheduling, or position in
-  /// the batch. Members are merged on the calling thread in canonical
+  /// Evaluation of one probe round. Every candidate is a pure function of
+  /// (seed, base, candidate): its measurement stream is reseeded from that
+  /// content and it runs on a per-slot backend clone, so results do not
+  /// depend on thread count, scheduling, or position in the batch. Members are merged on the calling thread in canonical
   /// candidate order, which makes the TuningOutcome, event stream, and
-  /// journal bit-identical for every search_threads >= 1.
+  /// journal bit-identical for every thread, worker, and fleet count.
   std::vector<double> rate_batch(
       const search::FlagConfig& base,
       const std::vector<search::FlagConfig>& candidates) override {
-    if (!batched()) return ConfigEvaluator::rate_batch(base, candidates);
+    // A pending SIGINT/SIGTERM surfaces here, between rounds — the last
+    // journaled evaluation is complete, so a later --resume run replays
+    // up to exactly this point.
     support::check_shutdown();
     std::vector<double> out;
     out.reserve(candidates.size());
@@ -279,8 +223,7 @@ public:
       maybe_store(*prologue);
       if (prologue->error) {
         // The base itself cannot be rated: account the first candidate's
-        // evaluation (the serial path counts it at entry before the base
-        // rating throws) and let tune() abandon the method.
+        // evaluation and let tune() abandon the method.
         ++evaluations_;
         DriverMetrics::get().configs_evaluated.inc();
         std::rethrow_exception(prologue->error);
@@ -327,10 +270,9 @@ public:
     }
 
     // Canonical merge, in candidate order. Every member ran to completion
-    // before this loop (on every thread count), so the global state both
-    // paths produced is identical; a member's error is rethrown only
-    // after its own (partial) deltas are applied, exactly like the serial
-    // path abandoning mid-rating.
+    // before this loop (on every thread count), so the global state is
+    // the same for every schedule; a member's error is rethrown only
+    // after its own (partial) deltas are applied.
     const MemberState* pro = prologue ? &*prologue : nullptr;
     for (MemberState& m : members) {
       merge_member(m);
@@ -439,78 +381,6 @@ public:
   }
 
 private:
-  const sim::Invocation& next_invocation() {
-    const auto& invs = driver_.trace_.invocations;
-    const sim::Invocation& inv = invs[cursor_];
-    cursor_ = (cursor_ + 1) % invs.size();
-    ++invocations_;
-    DriverMetrics::get().invocations.inc();
-    return inv;
-  }
-
-  /// Measurement entry points: guarded when fault tolerance is on,
-  /// the raw backend otherwise (bit-identical to the fault-oblivious
-  /// driver — the guard is not even constructed).
-  sim::InvocationResult measure(const search::FlagConfig& cfg,
-                                const sim::Invocation& inv) {
-    return guard_ ? guard_->invoke(cfg, inv) : backend_.invoke(cfg, inv);
-  }
-  std::vector<sim::RbrPairResult> measure_rbr(
-      const search::FlagConfig& best, const search::FlagConfig& exp,
-      const sim::Invocation& inv, const sim::RbrOptions& opts) {
-    return guard_ ? guard_->invoke_rbr_batch(best, exp, inv, opts)
-                  : backend_.invoke_rbr_batch(best, exp, inv, opts);
-  }
-
-  /// Validate the output digest of an improving configuration before the
-  /// search may adopt it. Throws fault::ConfigFailed on a miscompile
-  /// (which also quarantines the config).
-  void maybe_validate(const search::FlagConfig& cfg, double r) {
-    if (!guard_ || !driver_.options_.fault.validate_improvements) return;
-    if (r <= 1.0) return;
-    const std::string key = cfg.key();
-    if (validated_.count(key) != 0) return;
-    guard_->validate(cfg, next_invocation());
-    validated_.insert(key);
-    pending_validated_.push_back(key);
-  }
-
-  /// Append this evaluation (rating, state deltas, post-state snapshot)
-  /// to the journal.
-  void record_eval(const search::FlagConfig& base,
-                   const search::FlagConfig& cfg, double r) {
-    if (journal_ == nullptr) return;
-    JournalEval e;
-    e.base_key = base.key();
-    e.cfg_key = cfg.key();
-    e.r = r;
-    e.memo_added = std::move(pending_memo_);
-    e.validated_added = std::move(pending_validated_);
-    for (const std::string& key : pending_fail_keys_) {
-      const auto it = quarantine_.entries().find(key);
-      if (it == quarantine_.entries().end()) continue;
-      JournalEval::FailDelta d;
-      d.key = key;
-      d.kind = it->second.kind;
-      d.failures = it->second.failures;
-      d.quarantined = it->second.quarantined;
-      e.fails.push_back(std::move(d));
-    }
-    e.snap.backend = backend_.snapshot_state();
-    e.snap.cursor = cursor_;
-    e.snap.invocations = invocations_;
-    e.snap.evaluations = evaluations_;
-    e.snap.ratings = ratings_;
-    e.snap.exhausted = exhausted_;
-    e.snap.whole_program_surcharge = whole_program_surcharge_;
-    e.ratings_observed = std::move(pending_rating_obs_);
-    journal_->record_eval(e);
-    pending_memo_.clear();
-    pending_validated_.clear();
-    pending_fail_keys_.clear();
-    pending_rating_obs_.clear();
-  }
-
   /// Replay one recorded evaluation: return the recorded rating without
   /// touching the backend, re-apply the state deltas, and restore the
   /// bit-exact post-evaluation snapshot. Once the recorded evaluations
@@ -539,11 +409,9 @@ private:
     m.invocations.inc(e.snap.invocations - invocations_);
     m.configs_evaluated.inc(e.snap.evaluations - evaluations_);
     if (!e.ratings_observed.empty()) {
-      for (const JournalEval::RatingObs& o : e.ratings_observed) {
-        m.ratings_started.inc();
-        observe_rating(o.converged, o.samples);
-      }
-      pending_rating_obs_.clear();  // observe_rating() re-collected them
+      m.ratings_started.inc(e.ratings_observed.size());
+      for (const JournalEval::RatingObs& o : e.ratings_observed)
+        m.observe(o);
     } else {
       // Journal predates per-rating observations: restore the tallies
       // from the snapshot deltas (the window histogram stays short).
@@ -553,7 +421,6 @@ private:
       m.ratings_exhausted.inc(exhausted);
       m.ratings_converged.inc(started - exhausted);
     }
-    cursor_ = e.snap.cursor;
     invocations_ = e.snap.invocations;
     evaluations_ = e.snap.evaluations;
     ratings_ = e.snap.ratings;
@@ -561,149 +428,6 @@ private:
     whole_program_surcharge_ = e.snap.whole_program_surcharge;
     replayed.inc();
     return e.r;
-  }
-
-  /// Per-rating metrics: convergence tally plus window occupancy; also
-  /// collected per evaluation for the journal, so replay can restore the
-  /// registry exactly.
-  void observe_rating(bool converged, std::size_t samples) {
-    DriverMetrics& m = DriverMetrics::get();
-    (converged ? m.ratings_converged : m.ratings_exhausted).inc();
-    m.window_occupancy.observe(static_cast<double>(samples));
-    pending_rating_obs_.push_back(
-        {converged, static_cast<std::uint64_t>(samples)});
-  }
-
-  double rbr_ratio(const search::FlagConfig& base,
-                   const search::FlagConfig& cfg) {
-    ++ratings_;
-    DriverMetrics::get().ratings_started.inc();
-    rating::ReexecutionRater rater(driver_.options_.window);
-    sim::RbrOptions rbr_opts;
-    rbr_opts.improved = driver_.options_.improved_rbr;
-    rbr_opts.batch_pairs = driver_.options_.rbr_batch_pairs;
-    while (!rater.converged() && !rater.exhausted()) {
-      const sim::Invocation& inv = next_invocation();
-      for (const sim::RbrPairResult& pair :
-           measure_rbr(base, cfg, inv, rbr_opts)) {
-        rater.add_pair(pair.time_best, pair.time_exp);
-        if (rater.converged() || rater.exhausted()) break;
-      }
-    }
-    if (!rater.converged()) ++exhausted_;
-    const rating::Rating r = rater.rating();
-    observe_rating(rater.converged(), r.samples);
-    // Significance gate: with very noisy sections (EQUAKE's irregular
-    // memory) the window may cap out with a standard error comparable to
-    // the search's improvement threshold; reporting a statistically
-    // insignificant ratio would let noise eliminate useful options (the
-    // paper's "if the rating is inaccurate, the tuning system will yield
-    // limited performance or even degradation"). Below 3 SEM the verdict
-    // is "no measurable difference".
-    const double sem =
-        r.samples > 0 ? std::sqrt(r.var / static_cast<double>(r.samples))
-                      : 0.0;
-    if (std::fabs(r.eval - 1.0) < 3.0 * sem) return 1.0;
-    return r.eval;
-  }
-
-  /// Time-like EVAL of one configuration, memoized by config key.
-  double rate_time(const search::FlagConfig& cfg) {
-    const std::string key = cfg.key();
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    ++ratings_;
-    DriverMetrics::get().ratings_started.inc();
-
-    double eval = 0.0;
-    switch (method_) {
-      case rating::Method::kCBR: {
-        rating::ContextBasedRater rater(driver_.options_.window);
-        // With many contexts only a fraction of invocations feed the
-        // dominant bucket, so the stream budget scales with the context
-        // count (capped) — this is exactly why forcing CBR onto a
-        // many-context section (MGRID_CBR) wastes tuning time.
-        const std::size_t budget =
-            driver_.options_.window.max_samples *
-            std::clamp<std::size_t>(driver_.profile_.num_contexts, 1, 50);
-        while (!rater.converged() && rater.total_samples() < budget) {
-          const sim::Invocation& inv = next_invocation();
-          rater.add(inv.context, measure(cfg, inv).time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kMBR: {
-        rating::ModelBasedRater rater(
-            driver_.profile_.components.num_components(),
-            driver_.profile_.mbr_profile, driver_.options_.mbr);
-        while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation();
-          const sim::InvocationResult r = measure(cfg, inv);
-          std::vector<double> counts(r.counters->begin(), r.counters->end());
-          counts.push_back(1.0);  // constant component
-          rater.add(counts, r.time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        // r.var carries the fit's unexplained-variance ratio — the MBR
-        // regression residual the obs layer reports.
-        DriverMetrics::get().mbr_residual.set(r.var);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kAVG: {
-        rating::ContextObliviousRater rater(driver_.options_.window);
-        while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation();
-          rater.add(measure(cfg, inv).time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kWHL: {
-        rating::WholeProgramRater rater;
-        while (!rater.converged() && !rater.exhausted()) {
-          // One full application run per sample. The run also executes
-          // everything *around* the tuning section, which WHL must pay
-          // for — that surcharge is the core of its cost disadvantage.
-          double run_ts_time = 0.0;
-          for (std::size_t i = 0; i < driver_.trace_.invocations.size();
-               ++i) {
-            const double t = measure(cfg, next_invocation()).time;
-            rater.add_invocation(t);
-            run_ts_time += t;
-          }
-          rater.end_run();
-          const double fraction = driver_.workload_.ts_time_fraction();
-          whole_program_surcharge_ +=
-              run_ts_time * (1.0 / fraction - 1.0);
-        }
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kRBR:
-        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio");
-        break;
-    }
-    if (eval <= 0.0) {
-      ++exhausted_;
-      throw RatingNotConverging(
-          std::string(rating::to_string(method_)) +
-          " produced no estimate for " + driver_.workload_.full_name());
-    }
-    memo_.emplace(key, eval);
-    pending_memo_.emplace_back(key, eval);
-    return eval;
   }
 
   // ---- Batched evaluation -----------------------------------------------
@@ -767,6 +491,8 @@ private:
       auto clone = std::make_unique<sim::SimExecutionBackend>(
           fn_, backend_.traits(), driver_.machine_, driver_.effects_,
           backend_seed_);
+      // Basic RBR saves the full input set; improved RBR saves the
+      // range-analysis-narrowed Modified_Input slices.
       clone->set_checkpoint_bytes(
           driver_.profile_.input_sets.input_bytes(fn_),
           driver_.profile_.checkpoint_plan.bytes(fn_));
@@ -779,8 +505,7 @@ private:
   /// Rate one member on its slot backend. Never throws: an unexpected
   /// exception (e.g. RatingNotConverging) is captured so the merge loop
   /// can rethrow it at the member's canonical position, after applying
-  /// the partial deltas — exactly like a serial rating abandoning
-  /// mid-flight.
+  /// the partial deltas.
   void run_member(MemberState& m) {
     m.quarantine = quarantine_;
     m.validated = validated_;
@@ -840,6 +565,9 @@ private:
                    : m.backend->invoke(cfg, inv);
   }
 
+  /// Validate the output digest of an improving configuration before the
+  /// search may adopt it. Throws fault::ConfigFailed on a miscompile
+  /// (which also quarantines the config in the member's copy).
   void maybe_validate_m(MemberState& m, double r) {
     if (!m.guard || !driver_.options_.fault.validate_improvements) return;
     if (r <= 1.0) return;
@@ -850,14 +578,8 @@ private:
     m.validated_added.push_back(key);
   }
 
-  void observe_rating_m(MemberState& m, bool converged,
-                        std::size_t samples) {
-    m.robs.push_back({converged, static_cast<std::uint64_t>(samples)});
-  }
-
-  /// Member-local mirror of rbr_ratio(): same protocol, same significance
-  /// gate, but all tallies land on the member and the registry updates
-  /// are deferred to the merge.
+  /// RBR's pair protocol. All tallies land on the member; the registry
+  /// updates are deferred to the merge.
   double rbr_ratio_m(MemberState& m) {
     ++m.ratings_started;
     rating::ReexecutionRater rater(driver_.options_.window);
@@ -878,7 +600,14 @@ private:
     }
     if (!rater.converged()) ++m.exhausted;
     const rating::Rating r = rater.rating();
-    observe_rating_m(m, rater.converged(), r.samples);
+    m.robs.push_back({rater.converged(), r.samples});
+    // Significance gate: with very noisy sections (EQUAKE's irregular
+    // memory) the window may cap out with a standard error comparable to
+    // the search's improvement threshold; reporting a statistically
+    // insignificant ratio would let noise eliminate useful options (the
+    // paper's "if the rating is inaccurate, the tuning system will yield
+    // limited performance or even degradation"). Below 3 SEM the verdict
+    // is "no measurable difference".
     const double sem =
         r.samples > 0 ? std::sqrt(r.var / static_cast<double>(r.samples))
                       : 0.0;
@@ -886,9 +615,10 @@ private:
     return r.eval;
   }
 
-  /// Member-local mirror of rate_time(). The shared memo is frozen during
-  /// a batch (the prologue published the base EVAL before the fan-out);
-  /// a member additionally sees its own additions.
+  /// Time-like EVAL of one configuration, memoized by config key. The
+  /// shared memo is frozen during a batch (the prologue published the
+  /// base EVAL before the fan-out); a member additionally sees its own
+  /// additions.
   double rate_time_m(MemberState& m, const search::FlagConfig& cfg) {
     const std::string key = cfg.key();
     const auto it = memo_.find(key);
@@ -901,6 +631,10 @@ private:
     switch (method_) {
       case rating::Method::kCBR: {
         rating::ContextBasedRater rater(driver_.options_.window);
+        // With many contexts only a fraction of invocations feed the
+        // dominant bucket, so the stream budget scales with the context
+        // count (capped) — this is exactly why forcing CBR onto a
+        // many-context section (MGRID_CBR) wastes tuning time.
         const std::size_t budget =
             driver_.options_.window.max_samples *
             std::clamp<std::size_t>(driver_.profile_.num_contexts, 1, 50);
@@ -910,7 +644,7 @@ private:
         }
         if (!rater.converged()) ++m.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        m.robs.push_back({rater.converged(), r.samples});
         eval = r.eval;
         break;
       }
@@ -928,7 +662,9 @@ private:
         }
         if (!rater.converged()) ++m.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        m.robs.push_back({rater.converged(), r.samples});
+        // r.var carries the fit's unexplained-variance ratio — the MBR
+        // regression residual the obs layer reports.
         m.mbr_residual = r.var;
         eval = r.eval;
         break;
@@ -941,13 +677,16 @@ private:
         }
         if (!rater.converged()) ++m.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        m.robs.push_back({rater.converged(), r.samples});
         eval = r.eval;
         break;
       }
       case rating::Method::kWHL: {
         rating::WholeProgramRater rater;
         while (!rater.converged() && !rater.exhausted()) {
+          // One full application run per sample. The run also executes
+          // everything *around* the tuning section, which WHL must pay
+          // for — that surcharge is the core of its cost disadvantage.
           double run_ts_time = 0.0;
           for (std::size_t i = 0; i < driver_.trace_.invocations.size();
                ++i) {
@@ -961,7 +700,7 @@ private:
               run_ts_time * (1.0 / fraction - 1.0);
         }
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        m.robs.push_back({rater.converged(), r.samples});
         eval = r.eval;
         break;
       }
@@ -979,8 +718,7 @@ private:
     return eval;
   }
 
-  /// Fold one member's buffered deltas into the evaluator, exactly as a
-  /// serial rating would have applied them interleaved. Primary thread
+  /// Fold one member's buffered deltas into the evaluator. Primary thread
   /// only, canonical candidate order. Quarantine counts merge by
   /// restoring the member's observed counts verbatim; two members of one
   /// batch failing on the *same* key keep the higher count rather than
@@ -1005,10 +743,7 @@ private:
     DriverMetrics& dm = DriverMetrics::get();
     dm.invocations.inc(m.invocations);
     dm.ratings_started.inc(m.ratings_started);
-    for (const JournalEval::RatingObs& o : m.robs) {
-      (o.converged ? dm.ratings_converged : dm.ratings_exhausted).inc();
-      dm.window_occupancy.observe(static_cast<double>(o.samples));
-    }
+    for (const JournalEval::RatingObs& o : m.robs) dm.observe(o);
     if (m.mbr_residual) dm.mbr_residual.set(*m.mbr_residual);
 
     invocations_ += m.invocations;
@@ -1054,7 +789,6 @@ private:
     e.ratings_observed.insert(e.ratings_observed.end(), m.robs.begin(),
                               m.robs.end());
     e.snap.backend = backend_.snapshot_state();
-    e.snap.cursor = cursor_;
     e.snap.invocations = invocations_;
     e.snap.evaluations = evaluations_;
     e.snap.ratings = ratings_;
@@ -1378,8 +1112,8 @@ private:
   }
 
   /// The member's rating never completed on any process attempt. The
-  /// config gets "no improvement" (the serial path's ConfigFailed answer)
-  /// and, when every attempt died the same way, a quarantine entry — a
+  /// config gets "no improvement" (the ConfigFailed answer) and, when
+  /// every attempt died the same way, a quarantine entry — a
   /// deterministic crasher must never be probed again. Mixed failure
   /// signatures record the failures without quarantining (conservative in
   /// the direction of re-measuring). Nothing here touches the simulated
@@ -1510,9 +1244,8 @@ private:
   std::uint64_t backend_seed_;
   sim::SimExecutionBackend backend_;
   std::map<std::string, double> memo_;
-  std::size_t cursor_ = 0;
   std::size_t invocations_ = 0;
-  std::size_t evaluations_ = 0;  ///< relative_improvement() calls
+  std::size_t evaluations_ = 0;  ///< candidates rated
   std::size_t ratings_ = 0;
   std::size_t exhausted_ = 0;
   double whole_program_surcharge_ = 0.0;
@@ -1521,26 +1254,20 @@ private:
   TuningJournal* journal_;              ///< null = no journaling
   const JournalSegment* replay_;        ///< null = nothing to replay
   std::size_t replay_pos_ = 0;
-  std::optional<fault::GuardedExecutor> guard_;
   /// Configs whose output digest already passed validation.
   std::set<std::string> validated_;
-  /// Per-evaluation state deltas, harvested into the journal record.
-  std::vector<std::pair<std::string, double>> pending_memo_;
-  std::vector<std::string> pending_validated_;
-  std::set<std::string> pending_fail_keys_;
-  std::vector<JournalEval::RatingObs> pending_rating_obs_;
   /// evaluator_wall_us() at construction; publish_costs() charges the
   /// delta as this method's rating wall.
   double evaluator_wall_at_start_ = obs::evaluator_wall_us();
 
-  // Batched evaluation (search_threads >= 1). Per-slot backend clones;
+  // Per-slot backend clones;
   // slot s rates the batch items i with i % slots == s, so the item →
   // backend mapping is a pure function of the batch shape (and, because
   // every rating resets its clone's measurement stream, the results do
   // not depend on the mapping at all).
   std::vector<std::unique_ptr<sim::SimExecutionBackend>> slots_;
   std::unique_ptr<support::ThreadPool> pool_;
-  /// Persistent rating cache; null unless batch mode without an injector.
+  /// Persistent rating cache; null when none is set or an injector is.
   RatingCache* cache_ = nullptr;
   /// Run-fingerprint halves every cache key starts from.
   std::pair<std::uint64_t, std::uint64_t> cache_salt_{};
@@ -1595,8 +1322,6 @@ void TuningDriver::prepare_journal() {
 std::string TuningDriver::rate_remote_member(const RemoteMemberTask& task) {
   PEAK_CHECK(options_.fault.injector == nullptr,
              "a remote rating host cannot carry a fault injector");
-  PEAK_CHECK(options_.search_threads >= 1,
-             "remote member rating requires batch semantics");
   auto it = remote_evals_.find(task.method);
   if (it == remote_evals_.end()) {
     const ir::Function& fn = task.method == rating::Method::kMBR
@@ -1678,7 +1403,7 @@ TuningOutcome TuningDriver::tune(rating::Method method) {
   outcome.best_config = sr.best;
   outcome.method = method;
   // cost.configs_evaluated comes from the evaluator (== the number of
-  // relative_improvement calls), which also equals sr.configs_evaluated
+  // candidates rated), which also equals sr.configs_evaluated
   // for every in-tree search algorithm.
   outcome.cost = evaluator.cost();
   outcome.search_improvement = sr.improvement_over_start;

@@ -84,19 +84,16 @@ struct DriverOptions {
   std::shared_ptr<search::SearchAlgorithm> search_algorithm;
   /// Fault injection, guarded execution, and crash-safe resume.
   FaultOptions fault{};
-  /// Batched evaluation of the search probe loops. 0 (default) keeps the
-  /// classic serial path, where every rating consumes the next stretch of
-  /// one chained measurement stream — the historical behaviour all
-  /// pre-batching baselines were recorded against. N >= 1 switches to
-  /// batch semantics: each candidate's measurement stream is reseeded
-  /// from the (seed, base, candidate) content, candidates are rated on
-  /// per-slot backend clones — fanned out over a thread pool when N > 1 —
-  /// and merged in canonical candidate order, so the TuningOutcome,
-  /// event stream, and journal are bit-identical for every N >= 1.
-  unsigned search_threads = 0;
+  /// Threads that rate the candidates of one probe round. Each
+  /// candidate's measurement stream is reseeded from the (seed, base,
+  /// candidate) content, candidates are rated on per-slot backend clones
+  /// and merged in canonical candidate order, so the TuningOutcome, event
+  /// stream, and journal are bit-identical for every value. 0 and 1 both
+  /// rate inline on the calling thread; N > 1 fans rounds out over a pool
+  /// of N threads.
+  unsigned search_threads = 1;
   /// Persistent content-addressed rating cache shared across sections and
-  /// runs (not owned; may be null). Only consulted in batch mode
-  /// (search_threads >= 1) and ignored whenever a fault injector is
+  /// runs (not owned; may be null). Ignored whenever a fault injector is
   /// installed — injector verdicts depend on retry/quarantine state that
   /// is not part of the cache key.
   RatingCache* rating_cache = nullptr;
@@ -104,19 +101,19 @@ struct DriverOptions {
   /// member in a forked, supervised worker subprocess instead of a pool
   /// thread, so a rating that takes its process down (FaultKind::
   /// kHardCrash, a real SIGSEGV, an rlimit kill) costs one worker, not
-  /// the run. Implies batch semantics; members keep the same per-slot
-  /// clone + frozen-state + buffered-delta contract, so the TuningOutcome
-  /// is bit-identical to `search_threads N` for any worker count — even
-  /// across transient worker deaths, whose retries re-run the identical
-  /// content-seeded rating. 0 (default) keeps ratings in-process.
+  /// the run. Members keep the same per-slot clone + frozen-state +
+  /// buffered-delta contract, so the TuningOutcome is bit-identical to
+  /// `search_threads N` for any worker count — even across transient
+  /// worker deaths, whose retries re-run the identical content-seeded
+  /// rating. 0 (default) keeps ratings in-process.
   unsigned isolate_workers = 0;
   /// Distributed rating (src/dist/): non-null fans every batch round out
   /// over the coordinator's TCP worker fleet instead of local threads or
-  /// forks. Implies batch semantics; members keep the content-seeded
-  /// stream + buffered-delta contract and merge in canonical order, so
-  /// the TuningOutcome and journal are bit-identical to `search_threads
-  /// N` for any fleet size, including across worker deaths (tasks from a
-  /// dead worker requeue onto survivors). Mutually exclusive with
+  /// forks. Members keep the content-seeded stream + buffered-delta
+  /// contract and merge in canonical order, so the TuningOutcome and
+  /// journal are bit-identical to `search_threads N` for any fleet size,
+  /// including across worker deaths (tasks from a dead worker requeue
+  /// onto survivors). Mutually exclusive with
   /// `isolate_workers` and with a fault injector — injector verdicts
   /// depend on coordinator-side retry/quarantine state a remote rating
   /// cannot see. Not owned; must outlive the driver.
@@ -186,8 +183,7 @@ public:
   /// through the exact batch-member path local threads use — same
   /// content-seeded stream, same slot-clone reset — seeded entirely from
   /// the task descriptor, so the returned bytes are a pure function of
-  /// (driver scenario, task). Requires batch options (search_threads >=
-  /// 1) and no fault injector.
+  /// (driver scenario, task). Requires a driver without a fault injector.
   std::string rate_remote_member(const RemoteMemberTask& task);
 
 private:

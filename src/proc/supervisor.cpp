@@ -57,7 +57,16 @@ void ignore_sigpipe_once() {
   std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
 }
 
+DispatchHook& dispatch_hook() {
+  static DispatchHook hook;
+  return hook;
+}
+
 }  // namespace
+
+void set_dispatch_hook(DispatchHook hook) {
+  dispatch_hook() = std::move(hook);
+}
 
 const char* to_string(ExitClass cls) {
   switch (cls) {
@@ -173,6 +182,9 @@ void Supervisor::dispatch(Slot& slot) {
   if (!slot.worker->send_run(slot.current_task, slot.current_attempt)) {
     // Worker already gone; the event loop will see the EOF and requeue.
   }
+  if (dispatch_hook())
+    dispatch_hook()(slot.current_task, slot.current_attempt,
+                    slot.worker->pid());
 }
 
 void Supervisor::reap(Slot& slot, std::vector<TaskOutcome>& outcomes) {

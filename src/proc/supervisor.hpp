@@ -24,8 +24,11 @@
 /// history, so the caller can decide whether the failures were identical
 /// (deterministic — quarantine the config) or mixed/transient.
 
+#include <sys/types.h>
+
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,6 +98,18 @@ struct SupervisorStats {
   std::uint64_t exits_nonzero = 0;
   double burned_wall_us = 0.0;  ///< total wall on failed attempts
 };
+
+/// Called on the supervisor's thread right after `task` (process attempt
+/// `attempt`) has been sent to the worker `pid`. A test seam: it lets a
+/// caller kill a worker at an exact point of a round — while it holds a
+/// known task — instead of racing the event loop.
+using DispatchHook =
+    std::function<void(std::size_t task, std::size_t attempt, pid_t pid)>;
+
+/// Install (or, with an empty hook, remove) the process-wide dispatch
+/// hook. Set it before a run and clear it after; it is not synchronized
+/// against a run in progress.
+void set_dispatch_hook(DispatchHook hook);
 
 class Supervisor {
 public:

@@ -18,26 +18,15 @@ SearchResult CombinedElimination::run(const OptimizationSpace& space,
   FlagConfig base = start;
 
   for (std::size_t round = 0; round < space.size(); ++round) {
-    // Probe every still-enabled option against the current base — one
-    // batch when the evaluator supports it (the probes are independent),
-    // the serial probe helper otherwise.
+    // Probe every still-enabled option against the current base, as one
+    // batch (the probes are independent).
     std::vector<std::pair<double, std::size_t>> harmful;  // (R, flag)
-    if (evaluator.batched()) {
-      std::vector<std::size_t> flags;
-      for (std::size_t f = 0; f < space.size(); ++f)
-        if (base.enabled(f)) flags.push_back(f);
-      for (const auto& [f, r] :
-           probe_flags(evaluator, result, space, base, round, flags))
-        if (r > threshold_) harmful.emplace_back(r, f);
-    } else {
-      for (std::size_t f = 0; f < space.size(); ++f) {
-        if (!base.enabled(f)) continue;
-        const std::optional<double> r =
-            probe_candidate(evaluator, result, base, base.with(f, false),
-                            space.flag(f).name, round);
-        if (r && *r > threshold_) harmful.emplace_back(*r, f);
-      }
-    }
+    std::vector<std::size_t> flags;
+    for (std::size_t f = 0; f < space.size(); ++f)
+      if (base.enabled(f)) flags.push_back(f);
+    for (const auto& [f, r] :
+         probe_flags(evaluator, result, space, base, round, flags))
+      if (r > threshold_) harmful.emplace_back(r, f);
     if (harmful.empty()) {
       SearchEvent ev;
       ev.kind = SearchEvent::Kind::kCeExhausted;
@@ -58,43 +47,23 @@ SearchResult CombinedElimination::run(const OptimizationSpace& space,
       record_event(result.events, std::move(ev));
     }
 
-    // ... then re-validate the rest, in order. Batched mode rates every
-    // remaining harmful flag against the post-removal base in one batch
-    // (they are independent given that base); the serial path keeps the
-    // classic variant where each accepted removal updates the base the
-    // *next* re-validation probes against.
-    if (evaluator.batched()) {
-      std::vector<std::size_t> flags;
-      flags.reserve(harmful.size() - 1);
-      for (std::size_t i = 1; i < harmful.size(); ++i)
-        flags.push_back(harmful[i].second);
-      for (const auto& [f, r] :
-           probe_flags(evaluator, result, space, base, round, flags)) {
-        if (r > threshold_) {
-          base.set(f, false);
-          SearchEvent ev;
-          ev.kind = SearchEvent::Kind::kCeRevalidate;
-          ev.round = round;
-          ev.flag = space.flag(f).name;
-          ev.ratio = r;
-          record_event(result.events, std::move(ev));
-        }
-      }
-    } else {
-      for (std::size_t i = 1; i < harmful.size(); ++i) {
-        const std::size_t f = harmful[i].second;
-        const std::optional<double> r =
-            probe_candidate(evaluator, result, base, base.with(f, false),
-                            space.flag(f).name, round);
-        if (r && *r > threshold_) {
-          base.set(f, false);
-          SearchEvent ev;
-          ev.kind = SearchEvent::Kind::kCeRevalidate;
-          ev.round = round;
-          ev.flag = space.flag(f).name;
-          ev.ratio = *r;
-          record_event(result.events, std::move(ev));
-        }
+    // ... then re-validate the rest, in order: every remaining harmful
+    // flag is rated against the post-removal base in one batch (they are
+    // independent given that base).
+    std::vector<std::size_t> rest;
+    rest.reserve(harmful.size() - 1);
+    for (std::size_t i = 1; i < harmful.size(); ++i)
+      rest.push_back(harmful[i].second);
+    for (const auto& [f, r] :
+         probe_flags(evaluator, result, space, base, round, rest)) {
+      if (r > threshold_) {
+        base.set(f, false);
+        SearchEvent ev;
+        ev.kind = SearchEvent::Kind::kCeRevalidate;
+        ev.round = round;
+        ev.flag = space.flag(f).name;
+        ev.ratio = r;
+        record_event(result.events, std::move(ev));
       }
     }
   }

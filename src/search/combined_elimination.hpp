@@ -6,9 +6,9 @@
 /// * CombinedElimination — the authors' successor to Iterative
 ///   Elimination: one full probing round identifies all individually
 ///   harmful options; the worst is removed unconditionally, and the rest
-///   are re-validated against the *new* baseline in decreasing-harm order
-///   within the same round, removing those that still help. Near-BE cost
-///   with near-IE quality.
+///   are re-validated against the *new* baseline within the same round
+///   (as one batch, each against the post-removal base), removing those
+///   that still help. Near-BE cost with near-IE quality.
 ///
 /// * FactorialScreening — in the spirit of Chow & Wu's fractional
 ///   factorial design: run a balanced random two-level design over the

@@ -18,29 +18,16 @@ SearchResult IterativeElimination::run(const OptimizationSpace& space,
     double best_gain = options_.improvement_threshold;
     std::size_t best_flag = space.size();
 
-    if (evaluator.batched()) {
-      // The probes of one round are mutually independent: submit them as
-      // one batch so the evaluator can fan them out / serve them cached.
-      std::vector<std::size_t> flags;
-      for (std::size_t f = 0; f < space.size(); ++f)
-        if (base.enabled(f)) flags.push_back(f);
-      for (const auto& [f, r] :
-           probe_flags(evaluator, result, space, base, round, flags)) {
-        if (r > best_gain) {
-          best_gain = r;
-          best_flag = f;
-        }
-      }
-    } else {
-      for (std::size_t f = 0; f < space.size(); ++f) {
-        if (!base.enabled(f)) continue;
-        const std::optional<double> r =
-            probe_candidate(evaluator, result, base, base.with(f, false),
-                            space.flag(f).name, round);
-        if (r && *r > best_gain) {
-          best_gain = *r;
-          best_flag = f;
-        }
+    // The probes of one round are mutually independent: submit them as
+    // one batch so the evaluator can fan them out / serve them cached.
+    std::vector<std::size_t> flags;
+    for (std::size_t f = 0; f < space.size(); ++f)
+      if (base.enabled(f)) flags.push_back(f);
+    for (const auto& [f, r] :
+         probe_flags(evaluator, result, space, base, round, flags)) {
+      if (r > best_gain) {
+        best_gain = r;
+        best_flag = f;
       }
     }
 

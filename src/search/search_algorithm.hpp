@@ -36,18 +36,14 @@ public:
     return false;
   }
 
-  /// True when this evaluator wants whole rounds submitted through
-  /// rate_batch() (it can evaluate the independent candidates of a round
-  /// concurrently and/or serve them from a cache). Searches with
-  /// batchable loops consult this to pick the batched code path.
-  [[nodiscard]] virtual bool batched() const { return false; }
-
   /// Rate every candidate against `base`; result i corresponds to
   /// candidates[i]. The candidates of one call must be mutually
   /// independent (none depends on another's outcome) — exactly the shape
-  /// of one elimination-search probe round. The default implementation
-  /// is a serial relative_improvement() loop, so plain evaluators work
-  /// with batching searches unchanged.
+  /// of one elimination-search probe round, which searches always submit
+  /// through here (an evaluator may fan them out or serve them from a
+  /// cache). The default implementation is a serial
+  /// relative_improvement() loop, so plain evaluators need not override
+  /// it.
   virtual std::vector<double> rate_batch(
       const FlagConfig& base, const std::vector<FlagConfig>& candidates);
 };
@@ -128,10 +124,9 @@ struct SearchResult {
 double rate_config(ConfigEvaluator& evaluator, const FlagConfig& base,
                    const FlagConfig& cfg, std::string_view label = {});
 
-/// One probe of an elimination-style search — the block IE's probe loop,
-/// CE's probe loop, CE's re-validation loop, and BatchElimination all
-/// repeat: if `candidate` is quarantined, record the kQuarantined event
-/// on `result` and return nothing; otherwise rate it against `base`
+/// One probe of an elimination-style search that rates candidates one at
+/// a time (BatchElimination): if `candidate` is quarantined, record the
+/// kQuarantined event on `result` and return nothing; otherwise rate it against `base`
 /// (probe span, wall gate) and count it in `result.configs_evaluated`.
 std::optional<double> probe_candidate(ConfigEvaluator& evaluator,
                                       SearchResult& result,

@@ -142,6 +142,20 @@ TEST_F(PipelineTest, ArtOnSparcKeepsStrictAliasing) {
       run.best_config.enabled(*space.index_of("-fstrict-aliasing")));
 }
 
+TEST_F(PipelineTest, LibraryDefaultsRateLikeTheParallelCli) {
+  // The library defaults (what the paper benches use) and a multi-thread
+  // run (what `peak tune` does by default) share one rating semantics,
+  // so they must pick the same winner on the same scenario.
+  const sim::MachineModel p4 = sim::pentium4();
+  auto w = workloads::make_workload("EQUAKE");
+  const MethodRun defaults = Peak(p4).tune_with_consultant(*w);
+  PeakOptions threaded;
+  threaded.driver.search_threads = 4;
+  const MethodRun parallel = Peak(p4, threaded).tune_with_consultant(*w);
+  EXPECT_EQ(parallel.best_config.key(), defaults.best_config.key());
+  EXPECT_EQ(parallel.ref_improvement_pct, defaults.ref_improvement_pct);
+}
+
 TEST_F(PipelineTest, TuningCostAccountingIsConsistent) {
   auto w = workloads::make_workload("SWIM");
   const workloads::Trace train = w->trace(workloads::DataSet::kTrain, 42);

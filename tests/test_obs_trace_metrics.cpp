@@ -383,8 +383,10 @@ TEST(Integration, DriverEmitsSpansWhenTracing) {
   for (const TraceEvent& e : sink->events()) names.insert(e.name);
   EXPECT_TRUE(names.count("profile"));
   EXPECT_TRUE(names.count("tune"));
-  EXPECT_TRUE(names.count("rate"));
-  EXPECT_TRUE(names.count("probe"));
+  // Every rating is a batch member: probe rounds trace as probe_batch >
+  // rate_batch.
+  EXPECT_TRUE(names.count("rate_batch"));
+  EXPECT_TRUE(names.count("probe_batch"));
 }
 
 }  // namespace

@@ -94,6 +94,14 @@ TEST_F(ParallelBatchTest, OutcomeBitIdenticalAcrossThreadCountsTenSeeds) {
     DriverOptions parallel = serial;
     parallel.search_threads = 4;
     EXPECT_EQ(tune(s, parallel, rating::Method::kCBR), one);
+
+    // The defaults and N = 0 rate inline with the same batch semantics.
+    DriverOptions defaults;
+    defaults.seed = seed;
+    EXPECT_EQ(tune(s, defaults, rating::Method::kCBR), one);
+    DriverOptions inline_zero = serial;
+    inline_zero.search_threads = 0;
+    EXPECT_EQ(tune(s, inline_zero, rating::Method::kCBR), one);
   }
 }
 

@@ -2,19 +2,19 @@
 
 #include <signal.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/profile.hpp"
 #include "core/tuning_driver.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "proc/supervisor.hpp"
 #include "proc/worker_table.hpp"
 #include "workloads/workload.hpp"
 
@@ -251,31 +251,40 @@ TEST_F(ProcDriverTest, SigkilledWorkersMidRoundStillBitIdentical) {
   threaded.search_threads = 4;
   const TuningOutcome baseline = tune(s, threaded, rating::Method::kRBR);
 
-  // While the isolated run is underway, snipe up to two live workers
-  // with real SIGKILLs. Two stays under the per-task attempt budget, so
-  // every lost task is requeued as transient and the outcome must be
+  // SIGKILL the worker holding the 2nd and the 7th first-attempt
+  // dispatch of the isolated run, right after the task is sent — so each
+  // kill lands on a worker that owns an unfinished task. Two deaths on
+  // different tasks stay under the per-task attempt budget: each lost
+  // task is requeued once onto a fresh fork, and the outcome must be
   // bit-identical to the unharmed run.
-  std::atomic<bool> done{false};
-  std::atomic<int> kills{0};
-  std::thread sniper([&] {
-    while (!done.load() && kills.load() < 2) {
-      const std::vector<pid_t> pids = proc::WorkerTable::global().live_pids();
-      if (!pids.empty() && ::kill(pids.front(), SIGKILL) == 0) ++kills;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
+  const std::vector<std::size_t> kill_at{2, 7};
+  std::size_t dispatches = 0;
+  int kills = 0;
+  proc::set_dispatch_hook(
+      [&](std::size_t /*task*/, std::size_t attempt, pid_t pid) {
+        if (attempt != 0) return;
+        ++dispatches;
+        if (std::find(kill_at.begin(), kill_at.end(), dispatches) !=
+                kill_at.end() &&
+            ::kill(pid, SIGKILL) == 0)
+          ++kills;
+      });
 
   DriverOptions isolated;
   isolated.isolate_workers = 4;
-  const std::uint64_t before = counter("proc.workers.respawned");
+  const std::uint64_t lost = counter("proc.exits.signal");
+  const std::uint64_t requeued = counter("proc.tasks.retried");
+  const std::uint64_t respawned = counter("proc.workers.respawned");
+  const std::uint64_t failed = counter("proc.tasks.failed");
   const TuningOutcome outcome = tune(s, isolated, rating::Method::kRBR);
-  done = true;
-  sniper.join();
+  proc::set_dispatch_hook(nullptr);
 
   EXPECT_EQ(outcome, baseline);
-  if (kills.load() > 0)
-    EXPECT_GE(counter("proc.workers.respawned"),
-              before + static_cast<std::uint64_t>(kills.load()));
+  ASSERT_EQ(kills, 2);
+  EXPECT_EQ(counter("proc.exits.signal"), lost + 2);
+  EXPECT_EQ(counter("proc.tasks.retried"), requeued + 2);
+  EXPECT_EQ(counter("proc.workers.respawned"), respawned + 2);
+  EXPECT_EQ(counter("proc.tasks.failed"), failed);
 }
 
 TEST_F(ProcDriverTest, WorkerTablePublishesFleetState) {

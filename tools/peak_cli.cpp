@@ -75,9 +75,8 @@ struct Args {
   std::string journal_path;       ///< crash-safe tuning journal (tune)
   bool resume = false;            ///< replay the journal before tuning
   bool journal_strict = false;    ///< fail on corrupt journal lines
-  /// Batched search probing: 1 = batch semantics on one thread, N > 1
-  /// fans each probe round out over N workers (bit-identical outcome for
-  /// every N >= 1), 0 = the classic serial chained-stream path.
+  /// Search probing threads: 0 or 1 rate each probe round inline, N > 1
+  /// fans it out over N threads (bit-identical outcome for every N).
   unsigned search_threads =
       std::max(1u, std::thread::hardware_concurrency());
   /// Out-of-process isolation: N > 0 forks each probe round out over N
@@ -162,8 +161,7 @@ int usage() {
                "                  truncating to the intact prefix\n"
                "  --search-threads N  (tune) parallel batched probing; "
                "default = cores,\n"
-               "                  1 = same result serially, 0 = classic "
-               "serial path\n"
+               "                  0 or 1 = same result on one thread\n"
                "  --isolate-workers N  (tune) rate in N supervised worker "
                "subprocesses\n"
                "                  (crash containment; bit-identical to "
@@ -588,12 +586,6 @@ int cmd_tune(const Args& args) {
       std::fprintf(stderr,
                    "--isolate-workers cannot combine with distributed "
                    "tuning (pick one worker transport)\n");
-      return 2;
-    }
-    if (args.search_threads == 0) {
-      std::fprintf(stderr,
-                   "distributed tuning needs batch semantics; drop "
-                   "--search-threads 0\n");
       return 2;
     }
   }
