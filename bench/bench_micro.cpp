@@ -18,6 +18,7 @@
 #include "ir/liveness.hpp"
 #include "ir/passes.hpp"
 #include "ir/range_analysis.hpp"
+#include "rating/mbr.hpp"
 #include "rating/window.hpp"
 #include "runtime/snapshot.hpp"
 #include "sim/cache_model.hpp"
@@ -68,12 +69,80 @@ void BM_SnapshotSaveRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSaveRestore)->Arg(1024)->Arg(16384);
 
+/// One add into a window that restarts at the 640-sample cap, as the
+/// driver's windows do (none grows past max_samples).
 void BM_WindowedRaterAdd(benchmark::State& state) {
   support::Rng rng(2);
   rating::WindowedRater rater;
-  for (auto _ : state) rater.add(rng.normal(100, 1));
+  for (auto _ : state) {
+    if (rater.exhausted()) rater.reset();
+    rater.add(rng.normal(100, 1));
+  }
 }
 BENCHMARK(BM_WindowedRaterAdd);
+
+/// RBR-like ratios T_base/T_exp: lognormal jitter on both timings and an
+/// occasional interrupt spike on either, noisy enough that many windows
+/// run to the 640-sample cap, as on the heavy-rbr workload.
+std::vector<double> rbr_ratio_stream(std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<double> out(n);
+  for (double& ratio : out) {
+    double base = rng.lognormal(0.08);
+    double exp = 0.97 * rng.lognormal(0.08);
+    if (rng.bernoulli(0.03)) base *= rng.uniform(1.5, 4.0);
+    if (rng.bernoulli(0.03)) exp *= rng.uniform(1.5, 4.0);
+    ratio = base / exp;
+  }
+  return out;
+}
+
+/// The driver's rating loop: add one sample, ask converged(), until a
+/// verdict or the sample cap. One iteration is one rating; items are
+/// samples.
+void BM_WindowedRaterVerdictLoop(benchmark::State& state) {
+  const std::vector<double> stream = rbr_ratio_stream(1 << 16, 4);
+  std::size_t next = 0;
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    rating::WindowedRater rater;
+    while (!rater.converged() && !rater.exhausted()) {
+      rater.add(stream[next++ % stream.size()]);
+      ++samples;
+    }
+    benchmark::DoNotOptimize(rater.rating());
+  }
+  state.SetItemsProcessed(samples);
+}
+BENCHMARK(BM_WindowedRaterVerdictLoop);
+
+/// The same loop for MBR on a two-count model plus the constant
+/// component: one least-squares fit and standard error per sample.
+void BM_MbrVerdictLoop(benchmark::State& state) {
+  support::Rng rng(5);
+  std::vector<std::vector<double>> rows(1 << 12);
+  std::vector<double> times(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = {rng.uniform(20, 100), rng.uniform(5, 40), 1.0};
+    times[i] = (7.0 * rows[i][0] + 30.0 * rows[i][1] + 500.0) *
+               rng.lognormal(0.08);
+  }
+  rating::MbrProfile profile;
+  profile.c_avg = {50.0, 20.0, 1.0};
+  std::size_t next = 0;
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    rating::ModelBasedRater rater(3, profile);
+    while (!rater.converged() && !rater.exhausted()) {
+      const std::size_t i = next++ % rows.size();
+      rater.add(rows[i], times[i]);
+      ++samples;
+    }
+    benchmark::DoNotOptimize(rater.rating());
+  }
+  state.SetItemsProcessed(samples);
+}
+BENCHMARK(BM_MbrVerdictLoop);
 
 void BM_WindowedRaterRating(benchmark::State& state) {
   support::Rng rng(3);

@@ -62,11 +62,18 @@ DispatchHook& dispatch_hook() {
   return hook;
 }
 
+DrainHook& drain_hook() {
+  static DrainHook hook;
+  return hook;
+}
+
 }  // namespace
 
 void set_dispatch_hook(DispatchHook hook) {
   dispatch_hook() = std::move(hook);
 }
+
+void set_drain_hook(DrainHook hook) { drain_hook() = std::move(hook); }
 
 const char* to_string(ExitClass cls) {
   switch (cls) {
@@ -166,9 +173,13 @@ void Supervisor::spawn_slot(Slot& slot, bool respawn) {
 
 void Supervisor::dispatch(Slot& slot) {
   if (slot.next_task >= slot.tasks.size()) {
-    // Queue drained: ask for a clean exit and wait for the EOF.
+    // Queue drained: ask for a clean exit and wait for the EOF. The row
+    // leaves the live set now; the worker may already be gone.
     slot.phase = Slot::Phase::kExiting;
+    if (policy_.update_worker_table)
+      WorkerTable::global().exiting(slot.index);
     slot.worker->send_exit();
+    if (drain_hook()) drain_hook()(slot.index, slot.worker->pid());
     return;
   }
   slot.current_task = slot.tasks[slot.next_task];

@@ -111,6 +111,14 @@ using DispatchHook =
 /// against a run in progress.
 void set_dispatch_hook(DispatchHook hook);
 
+/// Called on the supervisor's thread right after the drained worker `pid`
+/// in `slot` has been sent its exit command, before it is reaped. A test
+/// seam for the table state between the drain and the reap.
+using DrainHook = std::function<void(std::size_t slot, pid_t pid)>;
+
+/// Install (or clear) the process-wide drain hook, as set_dispatch_hook.
+void set_drain_hook(DrainHook hook);
+
 class Supervisor {
 public:
   Supervisor(TaskFn fn, SupervisorPolicy policy);

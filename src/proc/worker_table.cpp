@@ -69,6 +69,11 @@ void WorkerTable::idle(std::size_t slot) {
   rows_[slot].state = "idle";
 }
 
+void WorkerTable::exiting(std::size_t slot) {
+  std::lock_guard lock(mutex_);
+  rows_[slot].state = "exiting";
+}
+
 void WorkerTable::finished(std::size_t slot, std::uint64_t tasks_done) {
   std::lock_guard lock(mutex_);
   Row& row = rows_[slot];

@@ -23,7 +23,9 @@ public:
   struct Row {
     std::size_t slot = 0;
     pid_t pid = 0;
-    std::string state;  ///< "idle" | "running" | "dead" | "done"
+    /// "idle" | "running" | "exiting" (drained, told to exit, not yet
+    /// reaped) | "dead" | "done"
+    std::string state;
     std::size_t current_task = 0;  ///< meaningful while state == running
     std::uint64_t tasks_done = 0;
     std::uint64_t respawns = 0;
@@ -43,6 +45,9 @@ public:
   void set_label(std::size_t slot, const std::string& label);
   void running(std::size_t slot, std::size_t task);
   void idle(std::size_t slot);
+  /// The worker drained its queue and was told to exit; it keeps its pid
+  /// until the reap but is no longer live.
+  void exiting(std::size_t slot);
   void finished(std::size_t slot, std::uint64_t tasks_done);
   void died(std::size_t slot, const std::string& failure_signature);
   /// Drop every row (start of a fresh supervised round).
@@ -50,8 +55,8 @@ public:
 
   [[nodiscard]] std::vector<Row> snapshot() const;
 
-  /// Pids of workers currently alive (tests use this to aim real
-  /// signals at the fleet).
+  /// Pids of idle or running workers (tests use this to aim real signals
+  /// at the fleet); exiting workers are left out.
   [[nodiscard]] std::vector<pid_t> live_pids() const;
 
   /// The /workers endpoint document.

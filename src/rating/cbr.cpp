@@ -21,24 +21,50 @@ void ContextBasedRater::add(const ContextKey& context, double time) {
   it->second.rater.add(time);
   it->second.total_time += time;
   ++total_;
+
+  // A grown bucket can only overtake the incumbent; the incumbent itself
+  // stays dominant when it grows. Shrinking or NaN totals rescan.
+  if (!(time >= 0.0) || dominant_ == buckets_.end()) {
+    dominant_ = scan_dominant();
+  } else if (it != dominant_) {
+    const double grown = it->second.total_time;
+    const double best = dominant_->second.total_time;
+    if (grown > best || (grown == best && it->first < dominant_->first))
+      dominant_ = it;
+  }
+}
+
+ContextBasedRater::BucketMap::const_iterator
+ContextBasedRater::scan_dominant() const {
+  auto best = buckets_.end();
+  double best_time = -1.0;
+  for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+    if (it->second.total_time > best_time) {
+      best_time = it->second.total_time;
+      best = it;
+    }
+  }
+  return best;
 }
 
 const ContextKey& ContextBasedRater::dominant_context() const {
-  PEAK_CHECK(!buckets_.empty(), "no contexts recorded");
-  const ContextKey* best = nullptr;
-  double best_time = -1.0;
-  for (const auto& [key, bucket] : buckets_) {
-    if (bucket.total_time > best_time) {
-      best_time = bucket.total_time;
-      best = &key;
-    }
-  }
-  return *best;
+  PEAK_CHECK(dominant_ != buckets_.end(), "no contexts recorded");
+  return dominant_->first;
+}
+
+const WindowedRater& ContextBasedRater::dominant_rater() const {
+  PEAK_CHECK(dominant_ != buckets_.end(), "no contexts recorded");
+  return dominant_->second.rater;
 }
 
 Rating ContextBasedRater::rating() const {
   if (buckets_.empty()) return Rating{};
-  return buckets_.at(dominant_context()).rater.rating();
+  return dominant_rater().rating();
+}
+
+bool ContextBasedRater::converged() const {
+  if (buckets_.empty()) return false;
+  return dominant_rater().converged();
 }
 
 Rating ContextBasedRater::rating_for(const ContextKey& context) const {
@@ -56,11 +82,12 @@ std::map<ContextKey, Rating> ContextBasedRater::all_ratings() const {
 
 bool ContextBasedRater::exhausted() const {
   if (buckets_.empty()) return false;
-  return buckets_.at(dominant_context()).rater.exhausted();
+  return dominant_rater().exhausted();
 }
 
 void ContextBasedRater::reset() {
   buckets_.clear();
+  dominant_ = buckets_.end();
   total_ = 0;
 }
 

@@ -23,6 +23,9 @@ using ContextKey = std::vector<double>;
 class ContextBasedRater {
 public:
   explicit ContextBasedRater(WindowPolicy policy = {});
+  /// Not copyable: it tracks its dominant bucket by map iterator.
+  ContextBasedRater(const ContextBasedRater&) = delete;
+  ContextBasedRater& operator=(const ContextBasedRater&) = delete;
 
   /// Record one invocation: its context and measured time.
   void add(const ContextKey& context, double time);
@@ -33,7 +36,7 @@ public:
   [[nodiscard]] std::size_t total_samples() const { return total_; }
 
   /// The most important context: the one with the largest accumulated
-  /// execution time (ties broken by sample count).
+  /// execution time (ties go to the first context in key order).
   [[nodiscard]] const ContextKey& dominant_context() const;
 
   /// Rating of the version under the dominant context.
@@ -45,7 +48,9 @@ public:
   /// All per-context ratings (for adaptive tuning / reports).
   [[nodiscard]] std::map<ContextKey, Rating> all_ratings() const;
 
-  [[nodiscard]] bool converged() const { return rating().converged; }
+  /// The dominant bucket's verdict (WindowedRater::converged()); the
+  /// dominant context is tracked on add(), so this scans no buckets.
+  [[nodiscard]] bool converged() const;
   /// Exhausted: the dominant bucket hit the sample cap without converging
   /// — the consultant's cue to switch to MBR/RBR.
   [[nodiscard]] bool exhausted() const;
@@ -58,8 +63,17 @@ private:
     double total_time = 0.0;
   };
 
+  using BucketMap = std::map<ContextKey, Bucket>;
+
+  /// The bucket dominant_context() names: the largest total time, the
+  /// first in key order among equals. Updated on add() by comparing the
+  /// grown bucket with the incumbent; a negative or NaN time rescans.
+  [[nodiscard]] BucketMap::const_iterator scan_dominant() const;
+  [[nodiscard]] const WindowedRater& dominant_rater() const;
+
   WindowPolicy policy_;
-  std::map<ContextKey, Bucket> buckets_;
+  BucketMap buckets_;
+  BucketMap::const_iterator dominant_ = buckets_.end();
   std::size_t total_ = 0;
 };
 

@@ -9,7 +9,9 @@ ModelBasedRater::ModelBasedRater(std::size_t num_components,
                                  MbrProfile profile, MbrPolicy policy)
     : num_components_(num_components),
       profile_(std::move(profile)),
-      policy_(policy) {
+      policy_(policy),
+      design_(0, num_components),
+      gram_(num_components, num_components) {
   PEAK_CHECK(num_components_ >= 1, "model needs at least one component");
   PEAK_CHECK(profile_.c_avg.empty() ||
                  profile_.c_avg.size() == num_components_,
@@ -24,18 +26,16 @@ void ModelBasedRater::add(const std::vector<double>& counts, double time) {
   PEAK_CHECK(counts.size() == num_components_,
              "count row arity mismatch");
   samples.inc();
-  counts_.push_back(counts);
+  design_.append_row(counts);
+  stats::accumulate_gram(gram_, counts);
   times_.push_back(time);
+  cached_.reset();
 }
 
 stats::RegressionResult ModelBasedRater::fit() const {
   static obs::Counter& fits = obs::counter("mbr.fits");
   fits.inc();
-  stats::Matrix design(times_.size(), num_components_);
-  for (std::size_t r = 0; r < counts_.size(); ++r)
-    for (std::size_t c = 0; c < num_components_; ++c)
-      design(r, c) = counts_[r][c];
-  return stats::least_squares_nonneg(design, times_);
+  return stats::least_squares_nonneg(design_, times_);
 }
 
 std::vector<double> ModelBasedRater::component_times() const {
@@ -44,6 +44,11 @@ std::vector<double> ModelBasedRater::component_times() const {
 }
 
 Rating ModelBasedRater::rating() const {
+  if (!cached_) cached_ = compute_rating();
+  return *cached_;
+}
+
+Rating ModelBasedRater::compute_rating() const {
   Rating r;
   r.samples = times_.size();
   const std::size_t needed =
@@ -62,9 +67,9 @@ Rating ModelBasedRater::rating() const {
     weights = profile_.c_avg;  // T_avg = Σ T_i · C_avg_i (Eq. 4)
   } else {
     // No profile at all: mean observed count row.
-    for (const auto& row : counts_)
+    for (std::size_t row = 0; row < design_.rows(); ++row)
       for (std::size_t i = 0; i < num_components_; ++i)
-        weights[i] += row[i] / static_cast<double>(counts_.size());
+        weights[i] += design_(row, i) / static_cast<double>(design_.rows());
   }
   double eval = 0.0;
   for (std::size_t i = 0; i < num_components_; ++i)
@@ -73,20 +78,18 @@ Rating ModelBasedRater::rating() const {
   r.var = fit_result.var_ratio();
 
   // Convergence by the standard error of EVAL.
-  stats::Matrix design(times_.size(), num_components_);
-  for (std::size_t row = 0; row < counts_.size(); ++row)
-    for (std::size_t c = 0; c < num_components_; ++c)
-      design(row, c) = counts_[row][c];
-  const double se =
-      stats::functional_std_error(design, fit_result, weights);
+  const double se = stats::functional_std_error_from_gram(
+      gram_, times_.size(), fit_result, weights);
   r.converged =
       se >= 0.0 && eval > 0.0 && se / eval < policy_.cv_threshold;
   return r;
 }
 
 void ModelBasedRater::reset() {
-  counts_.clear();
+  design_ = stats::Matrix(0, num_components_);
+  gram_ = stats::Matrix(num_components_, num_components_);
   times_.clear();
+  cached_.reset();
 }
 
 }  // namespace peak::rating

@@ -55,6 +55,8 @@ public:
   /// num_components, constant column last = 1) and measured time.
   void add(const std::vector<double>& counts, double time);
 
+  /// Fits the model and rates it; cached until the next add(), so the
+  /// driver's converged()/rating()/converged() sequence fits once.
   [[nodiscard]] Rating rating() const;
 
   /// The fitted component-time vector T (empty before enough samples).
@@ -69,12 +71,17 @@ public:
 
 private:
   [[nodiscard]] stats::RegressionResult fit() const;
+  [[nodiscard]] Rating compute_rating() const;
 
   std::size_t num_components_;
   MbrProfile profile_;
   MbrPolicy policy_;
-  std::vector<std::vector<double>> counts_;
+  /// The count rows so far, one per invocation (row-major, grown in place).
+  stats::Matrix design_;
+  /// design_.gram(), kept current one row at a time (bit-equal).
+  stats::Matrix gram_;
   std::vector<double> times_;
+  mutable std::optional<Rating> cached_;
 };
 
 }  // namespace peak::rating

@@ -9,6 +9,7 @@
 /// applicable rating method).
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "rating/rating.hpp"
@@ -42,13 +43,19 @@ public:
   void add(double sample);
 
   /// Current (EVAL, VAR) over the outlier-filtered window. EVAL = mean,
-  /// VAR = sample variance (paper Section 3, cases 1 and 3). Cached until
-  /// the next add(): the driver asks for the rating (directly and via
-  /// converged()) after every sample, and recomputing the MAD filter over
-  /// the whole window each time dominated tuning time.
+  /// VAR = sample variance (paper Section 3, cases 1 and 3). Always
+  /// computed exactly over the whole window; cached until the next add().
   [[nodiscard]] Rating rating() const;
 
-  [[nodiscard]] bool converged() const { return rating().converged; }
+  /// rating().converged, bit for bit, without the O(w) rebuild on most
+  /// samples. For the MAD rule the verdict comes from O(log w) state: the
+  /// median and MAD from the sorted mirror, the outlier prefix and suffix
+  /// by binary search, and the kept set's Σ and Σ² from running sums
+  /// minus the outliers. That estimate decides only when it clears the
+  /// threshold by a relative margin its error bound cannot cross; quota
+  /// hits, near-zero means, other outlier rules and a too-wide bound fall
+  /// back to the exact rebuild (counted on `window.recomputes`).
+  [[nodiscard]] bool converged() const;
   [[nodiscard]] bool exhausted() const {
     return samples_.size() + nonfinite_dropped_ >= policy_.max_samples;
   }
@@ -60,15 +67,12 @@ public:
   [[nodiscard]] const std::vector<double>& samples() const {
     return samples_;
   }
-  void reset() {
-    samples_.clear();
-    sorted_.clear();
-    nonfinite_dropped_ = 0;
-    cache_valid_ = false;
-  }
+  void reset();
 
 private:
   void recompute() const;
+  /// The incremental verdict, or nullopt where only recompute() can tell.
+  [[nodiscard]] std::optional<bool> incremental_verdict() const;
 
   WindowPolicy policy_;
   std::vector<double> samples_;
@@ -76,10 +80,17 @@ private:
   /// Ascending mirror of samples_, maintained incrementally so the MAD
   /// outlier filter needs no per-rating copy or selection.
   std::vector<double> sorted_;
+  /// Σ(x - shift_) and Σ(x - shift_)² over every sample, shifted by the
+  /// first one so near-equal timings do not cancel.
+  long double shift_ = 0.0L;
+  long double sum_ = 0.0L;
+  long double sum_sq_ = 0.0L;
   mutable std::vector<double> kept_scratch_;
   mutable Rating cached_;
   mutable std::size_t cached_dropped_ = 0;
   mutable bool cache_valid_ = false;
+  mutable bool verdict_ = false;
+  mutable bool verdict_valid_ = false;
 };
 
 }  // namespace peak::rating

@@ -58,36 +58,48 @@ double median_sorted(std::span<const double> sorted) {
   return 0.5 * (sorted[mid - 1] + sorted[mid]);
 }
 
+namespace {
+
+/// The k-th (0-based) smallest absolute deviation from `med` of a sorted
+/// span whose first `split` elements are <= med. The deviations form two
+/// ascending runs, med - sorted[split-1-j] on the left and
+/// sorted[split+j] - med on the right; binary search finds how many of
+/// the k+1 smallest come from the left run.
+double kth_deviation(std::span<const double> sorted, double med,
+                     std::size_t split, std::size_t k) {
+  const std::size_t right_len = sorted.size() - split;
+  const auto left = [&](std::size_t j) { return med - sorted[split - 1 - j]; };
+  const auto right = [&](std::size_t j) { return sorted[split + j] - med; };
+  const std::size_t take = k + 1;
+  std::size_t lo = take > right_len ? take - right_len : 0;
+  std::size_t hi = std::min(take, split);
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (right(take - i - 1) > left(i))
+      lo = i + 1;
+    else
+      hi = i;
+  }
+  const std::size_t from_right = take - lo;
+  if (lo == 0) return right(from_right - 1);
+  if (from_right == 0) return left(lo - 1);
+  return std::max(left(lo - 1), right(from_right - 1));
+}
+
+}  // namespace
+
 double mad_sorted(std::span<const double> sorted) {
   if (sorted.empty()) return 0.0;
   PEAK_CHECK(std::isfinite(sorted.front()) && std::isfinite(sorted.back()),
              "mad_sorted: non-finite sample in window");
   const double med = median_sorted(sorted);
   const std::size_t n = sorted.size();
-  // Deviations |x - med| of the left run (x <= med) grow toward index 0,
-  // of the right run (x > med) toward index n-1. Merge the two runs from
-  // the split outward until the middle order statistics are reached.
-  std::size_t l = static_cast<std::size_t>(
+  const auto split = static_cast<std::size_t>(
       std::upper_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
-  std::size_t r = l;
   const std::size_t mid = n / 2;
-  double prev = 0.0;
-  double cur = 0.0;
-  for (std::size_t k = 0; k <= mid; ++k) {
-    prev = cur;
-    const double dl =
-        l > 0 ? med - sorted[l - 1] : std::numeric_limits<double>::infinity();
-    const double dr =
-        r < n ? sorted[r] - med : std::numeric_limits<double>::infinity();
-    if (dl <= dr) {
-      cur = dl;
-      --l;
-    } else {
-      cur = dr;
-      ++r;
-    }
-  }
-  return 1.4826 * (n % 2 == 1 ? cur : 0.5 * (prev + cur));
+  const double cur = kth_deviation(sorted, med, split, mid);
+  if (n % 2 == 1) return 1.4826 * cur;
+  return 1.4826 * (0.5 * (kth_deviation(sorted, med, split, mid - 1) + cur));
 }
 
 double min(std::span<const double> xs) {

@@ -33,11 +33,10 @@ double median_sorted(std::span<const double> sorted);
 
 /// mad() of an already-sorted (ascending) span without copying: the
 /// absolute deviations from the median form two sorted runs around the
-/// median split, so the middle order statistics are selected by walking
-/// the runs outward. O(n), allocation-free. The windowed rater keeps its
-/// samples sorted incrementally and calls this once per rating — with
-/// mad()'s copy + nth_element this was the single hottest path in the
-/// whole tuner.
+/// median split, so each middle order statistic is found by a binary
+/// search over how many of the smallest deviations come from each run.
+/// O(log n), allocation-free; the windowed rater calls it once per
+/// convergence verdict.
 double mad_sorted(std::span<const double> sorted);
 
 double min(std::span<const double> xs);

@@ -16,6 +16,25 @@ Matrix Matrix::gram() const {
   return g;
 }
 
+void Matrix::append_row(std::span<const double> row) {
+  PEAK_CHECK(row.size() == cols_, "row length must match the columns");
+  data_.insert(data_.end(), row.begin(), row.end());
+  ++rows_;
+}
+
+void accumulate_gram(Matrix& gram, std::span<const double> row) {
+  const std::size_t n = row.size();
+  PEAK_CHECK(gram.rows() == n && gram.cols() == n,
+             "Gram matrix must be square in the row length");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const double sum = gram(i, j) + row[i] * row[j];
+      gram(i, j) = sum;
+      gram(j, i) = sum;
+    }
+  }
+}
+
 std::vector<double> Matrix::transpose_times(
     const std::vector<double>& y) const {
   PEAK_CHECK(y.size() == rows_, "dimension mismatch in A^T y");

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -47,6 +48,9 @@ public:
 
   [[nodiscard]] const std::vector<double>& data() const { return data_; }
 
+  /// Append one row (length cols()); the matrix grows by one row.
+  void append_row(std::span<const double> row);
+
   /// A^T * A (cols x cols), used to form normal equations.
   [[nodiscard]] Matrix gram() const;
 
@@ -62,5 +66,10 @@ private:
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Add the outer product row·rowᵀ to a running Gram matrix (cols x cols).
+/// Each entry gains one term in the order gram() sums them, so adding every
+/// row of A to a zero matrix gives exactly A.gram(), bit for bit.
+void accumulate_gram(Matrix& gram, std::span<const double> row);
 
 }  // namespace peak::stats

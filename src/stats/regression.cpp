@@ -120,8 +120,11 @@ RegressionResult least_squares(const Matrix& design,
 }
 
 std::optional<Matrix> gram_inverse(const Matrix& design) {
-  const std::size_t n = design.cols();
-  Matrix a = design.gram();
+  return invert_gram(design.gram());
+}
+
+std::optional<Matrix> invert_gram(Matrix a) {
+  const std::size_t n = a.cols();
   // Augment with the identity and run Gauss-Jordan with partial pivoting.
   Matrix inv(n, n);
   for (std::size_t i = 0; i < n; ++i) inv(i, i) = 1.0;
@@ -158,14 +161,20 @@ std::optional<Matrix> gram_inverse(const Matrix& design) {
 double functional_std_error(const Matrix& design,
                             const RegressionResult& fit,
                             const std::vector<double>& weights) {
-  if (!fit.ok || design.rows() <= design.cols()) return -1.0;
-  PEAK_CHECK(weights.size() == design.cols(),
+  return functional_std_error_from_gram(design.gram(), design.rows(), fit,
+                                        weights);
+}
+
+double functional_std_error_from_gram(const Matrix& gram, std::size_t rows,
+                                      const RegressionResult& fit,
+                                      const std::vector<double>& weights) {
+  if (!fit.ok || rows <= gram.cols()) return -1.0;
+  PEAK_CHECK(weights.size() == gram.cols(),
              "weight arity must match design columns");
-  const std::optional<Matrix> ginv = gram_inverse(design);
+  const std::optional<Matrix> ginv = invert_gram(gram);
   if (!ginv) return -1.0;
   const double sigma2 =
-      fit.ss_residual /
-      static_cast<double>(design.rows() - design.cols());
+      fit.ss_residual / static_cast<double>(rows - gram.cols());
   double quad = 0.0;
   for (std::size_t i = 0; i < weights.size(); ++i)
     for (std::size_t j = 0; j < weights.size(); ++j)
@@ -185,12 +194,16 @@ RegressionResult least_squares_nonneg(const Matrix& design,
       if (active[c]) cols.push_back(c);
     if (cols.empty()) break;
 
-    Matrix reduced(design.rows(), cols.size());
-    for (std::size_t r = 0; r < design.rows(); ++r)
-      for (std::size_t ci = 0; ci < cols.size(); ++ci)
-        reduced(r, ci) = design(r, cols[ci]);
-
-    RegressionResult fit = least_squares(reduced, y);
+    RegressionResult fit;
+    if (cols.size() == n) {
+      fit = least_squares(design, y);
+    } else {
+      Matrix reduced(design.rows(), cols.size());
+      for (std::size_t r = 0; r < design.rows(); ++r)
+        for (std::size_t ci = 0; ci < cols.size(); ++ci)
+          reduced(r, ci) = design(r, cols[ci]);
+      fit = least_squares(reduced, y);
+    }
     if (!fit.ok) return fit;
 
     // Clamp the most negative coefficient, if any, and retry.

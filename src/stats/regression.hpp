@@ -62,11 +62,21 @@ RegressionResult least_squares(const Matrix& design,
 /// produces (n ≤ ~8); uses Gauss-Jordan with partial pivoting.
 std::optional<Matrix> gram_inverse(const Matrix& design);
 
+/// gram_inverse() from an already-formed Gram matrix AᵀA.
+std::optional<Matrix> invert_gram(Matrix gram);
+
 /// Standard error of a linear functional cᵀx̂ of the fitted coefficients.
 /// Returns a negative value when the covariance is unavailable.
 double functional_std_error(const Matrix& design,
                             const RegressionResult& fit,
                             const std::vector<double>& weights);
+
+/// functional_std_error() for a design of `rows` observations given by
+/// its Gram matrix AᵀA, which a caller adding one row at a time can keep
+/// current with accumulate_gram().
+double functional_std_error_from_gram(const Matrix& gram, std::size_t rows,
+                                      const RegressionResult& fit,
+                                      const std::vector<double>& weights);
 
 /// Fit with non-negativity clamping: component times are physical durations
 /// and must be >= 0. Negative coefficients (which arise from noise when a

@@ -300,6 +300,41 @@ TEST(WorkerTableRows, TracksSpawnRespawnAndFailureHistory) {
   EXPECT_TRUE(table.snapshot().empty());
 }
 
+/// A drained worker has been told to exit but is not reaped yet: its row
+/// must already read "exiting" and its pid must be out of live_pids(),
+/// so nothing aims a signal at a process that is leaving (or a zombie).
+TEST(WorkerTableRows, DrainedWorkerIsExitingUntilReaped) {
+  WorkerTable& table = WorkerTable::global();
+  std::vector<WorkerTable::Row> at_drain;
+  std::vector<pid_t> live_at_drain;
+  std::vector<pid_t> drained_pids;
+  set_drain_hook([&](std::size_t slot, pid_t pid) {
+    drained_pids.push_back(pid);
+    for (const WorkerTable::Row& row : table.snapshot())
+      if (row.slot == slot) at_drain.push_back(row);
+    live_at_drain = table.live_pids();
+  });
+  SupervisorPolicy policy = test_policy(2);
+  policy.update_worker_table = true;
+  Supervisor sup(
+      [](std::size_t task, std::size_t) { return std::to_string(task); },
+      policy);
+  const std::vector<TaskOutcome> outcomes = sup.run(5);
+  set_drain_hook(nullptr);
+
+  ASSERT_EQ(outcomes.size(), 5u);
+  ASSERT_EQ(at_drain.size(), 2u);
+  for (std::size_t i = 0; i < at_drain.size(); ++i) {
+    EXPECT_EQ(at_drain[i].state, "exiting");
+    EXPECT_EQ(at_drain[i].pid, drained_pids[i]);
+  }
+  // The last drain sees every worker exiting or done: none is live.
+  EXPECT_TRUE(live_at_drain.empty());
+  for (const WorkerTable::Row& row : table.snapshot())
+    EXPECT_EQ(row.state, "done");
+  EXPECT_TRUE(table.live_pids().empty());
+}
+
 TEST(WorkerTableRows, JsonListsWorkersWithCounts) {
   WorkerTable table;
   table.spawned(0, 100, false);
