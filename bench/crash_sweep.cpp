@@ -83,7 +83,7 @@ fault::FaultInjector transient_injector(const TuneSetup& s) {
 }
 
 /// Stochastic model where every faulty config is a deterministic hard
-/// crasher: it abort()s on every attempt, so the supervisor exhausts its
+/// crasher: it abort()s on every attempt, so the worker runtime exhausts its
 /// retries and quarantines the config — and an unisolated run simply dies.
 fault::FaultInjector sticky_injector(const TuneSetup& s) {
   fault::FaultModel model;

@@ -2,7 +2,7 @@
 
 /// \file remote_eval.hpp
 /// The measurement contract between a distributed-tuning coordinator and
-/// a remote `peak worker` agent (`peak::dist`, see docs/INTERNALS.md §13).
+/// a remote `peak worker` agent (`peak::dist`, see docs/INTERNALS.md §12).
 ///
 /// PEAK's batched ratings are pure functions of content: a member's
 /// measurement stream is reseeded from (run seed, section, base bits,

@@ -23,7 +23,6 @@
 #include "obs/event_ring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "proc/supervisor.hpp"
 #include "rating/baselines.hpp"
 #include "rating/cbr.hpp"
 #include "rating/mbr.hpp"
@@ -205,14 +204,11 @@ public:
 
     ensure_slots(1);
     if (prologue && !prologue->from_cache) {
-      if (driver_.options_.coordinator != nullptr) {
-        // The base rating ships to the fleet too, before the candidate
-        // round, so every member still sees the frozen memo entry.
-        run_members_remote({&*prologue});
-      } else if (driver_.options_.isolate_workers >= 1) {
-        // The base rating runs isolated too — it is just as capable of
-        // taking a process down as any candidate.
-        run_members_isolated({&*prologue});
+      if (on_fleet()) {
+        // The base rating goes to the workers too, before the candidate
+        // round, so every member still sees the frozen memo entry (and a
+        // base that takes its process down kills only a worker).
+        run_members_on_fleet({&*prologue});
       } else {
         prologue->backend = slots_[0].get();
         run_member(*prologue);
@@ -236,16 +232,11 @@ public:
     for (std::size_t i = 0; i < members.size(); ++i)
       if (!members[i].from_cache) to_run.push_back(i);
     const unsigned threads = driver_.options_.search_threads;
-    if (driver_.options_.coordinator != nullptr) {
+    if (on_fleet()) {
       std::vector<MemberState*> targets;
       targets.reserve(to_run.size());
       for (std::size_t i : to_run) targets.push_back(&members[i]);
-      run_members_remote(targets);
-    } else if (driver_.options_.isolate_workers >= 1) {
-      std::vector<MemberState*> targets;
-      targets.reserve(to_run.size());
-      for (std::size_t i : to_run) targets.push_back(&members[i]);
-      run_members_isolated(targets);
+      run_members_on_fleet(targets);
     } else if (threads <= 1 || to_run.size() <= 1) {
       for (std::size_t i : to_run) {
         members[i].backend = slots_[0].get();
@@ -531,16 +522,16 @@ private:
     try {
       try {
         if (m.prologue) {
-          rate_time_m(m, *m.base);
+          rate_time(m, *m.base);
         } else if (method_ == rating::Method::kRBR) {
-          m.r = rbr_ratio_m(m);
+          m.r = rbr_ratio(m);
         } else {
-          const double e_base = rate_time_m(m, *m.base);
-          const double e_cfg = rate_time_m(m, *m.cfg);
+          const double e_base = rate_time(m, *m.base);
+          const double e_cfg = rate_time(m, *m.cfg);
           PEAK_CHECK(e_cfg > 0.0, "non-positive rating");
           m.r = e_base / e_cfg;
         }
-        if (!m.prologue) maybe_validate_m(m, m.r);
+        if (!m.prologue) maybe_validate(m, m.r);
       } catch (const fault::ConfigFailed&) {
         m.r = 0.0;
       }
@@ -550,7 +541,7 @@ private:
     m.after = m.backend->snapshot_state();
   }
 
-  const sim::Invocation& next_invocation_m(MemberState& m) {
+  const sim::Invocation& next_invocation(MemberState& m) {
     const auto& invs = driver_.trace_.invocations;
     const sim::Invocation& inv = invs[m.cursor];
     m.cursor = (m.cursor + 1) % invs.size();
@@ -558,9 +549,9 @@ private:
     return inv;
   }
 
-  sim::InvocationResult measure_m(MemberState& m,
-                                  const search::FlagConfig& cfg,
-                                  const sim::Invocation& inv) {
+  sim::InvocationResult measure(MemberState& m,
+                                const search::FlagConfig& cfg,
+                                const sim::Invocation& inv) {
     return m.guard ? m.guard->invoke(cfg, inv)
                    : m.backend->invoke(cfg, inv);
   }
@@ -568,26 +559,26 @@ private:
   /// Validate the output digest of an improving configuration before the
   /// search may adopt it. Throws fault::ConfigFailed on a miscompile
   /// (which also quarantines the config in the member's copy).
-  void maybe_validate_m(MemberState& m, double r) {
+  void maybe_validate(MemberState& m, double r) {
     if (!m.guard || !driver_.options_.fault.validate_improvements) return;
     if (r <= 1.0) return;
     const std::string key = m.cfg->key();
     if (m.validated.count(key) != 0) return;
-    m.guard->validate(*m.cfg, next_invocation_m(m));
+    m.guard->validate(*m.cfg, next_invocation(m));
     m.validated.insert(key);
     m.validated_added.push_back(key);
   }
 
   /// RBR's pair protocol. All tallies land on the member; the registry
   /// updates are deferred to the merge.
-  double rbr_ratio_m(MemberState& m) {
+  double rbr_ratio(MemberState& m) {
     ++m.ratings_started;
     rating::ReexecutionRater rater(driver_.options_.window);
     sim::RbrOptions rbr_opts;
     rbr_opts.improved = driver_.options_.improved_rbr;
     rbr_opts.batch_pairs = driver_.options_.rbr_batch_pairs;
     while (!rater.converged() && !rater.exhausted()) {
-      const sim::Invocation& inv = next_invocation_m(m);
+      const sim::Invocation& inv = next_invocation(m);
       const std::vector<sim::RbrPairResult> pairs =
           m.guard ? m.guard->invoke_rbr_batch(*m.base, *m.cfg, inv,
                                               rbr_opts)
@@ -619,7 +610,7 @@ private:
   /// shared memo is frozen during a batch (the prologue published the
   /// base EVAL before the fan-out); a member additionally sees its own
   /// additions.
-  double rate_time_m(MemberState& m, const search::FlagConfig& cfg) {
+  double rate_time(MemberState& m, const search::FlagConfig& cfg) {
     const std::string key = cfg.key();
     const auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
@@ -639,8 +630,8 @@ private:
             driver_.options_.window.max_samples *
             std::clamp<std::size_t>(driver_.profile_.num_contexts, 1, 50);
         while (!rater.converged() && rater.total_samples() < budget) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          rater.add(inv.context, measure_m(m, cfg, inv).time);
+          const sim::Invocation& inv = next_invocation(m);
+          rater.add(inv.context, measure(m, cfg, inv).time);
         }
         if (!rater.converged()) ++m.exhausted;
         const rating::Rating r = rater.rating();
@@ -653,8 +644,8 @@ private:
             driver_.profile_.components.num_components(),
             driver_.profile_.mbr_profile, driver_.options_.mbr);
         while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          const sim::InvocationResult r = measure_m(m, cfg, inv);
+          const sim::Invocation& inv = next_invocation(m);
+          const sim::InvocationResult r = measure(m, cfg, inv);
           std::vector<double> counts(r.counters->begin(),
                                      r.counters->end());
           counts.push_back(1.0);  // constant component
@@ -672,8 +663,8 @@ private:
       case rating::Method::kAVG: {
         rating::ContextObliviousRater rater(driver_.options_.window);
         while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          rater.add(measure_m(m, cfg, inv).time);
+          const sim::Invocation& inv = next_invocation(m);
+          rater.add(measure(m, cfg, inv).time);
         }
         if (!rater.converged()) ++m.exhausted;
         const rating::Rating r = rater.rating();
@@ -690,7 +681,7 @@ private:
           double run_ts_time = 0.0;
           for (std::size_t i = 0; i < driver_.trace_.invocations.size();
                ++i) {
-            const double t = measure_m(m, cfg, next_invocation_m(m)).time;
+            const double t = measure(m, cfg, next_invocation(m)).time;
             rater.add_invocation(t);
             run_ts_time += t;
           }
@@ -705,7 +696,7 @@ private:
         break;
       }
       case rating::Method::kRBR:
-        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio_m");
+        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio");
         break;
     }
     if (eval <= 0.0) {
@@ -836,69 +827,25 @@ private:
                           .count();
   }
 
-  // ---- Out-of-process isolation (isolate_workers >= 1) ------------------
+  // ---- Worker fan-out (isolate_workers >= 1, or a coordinator) ---------
 
-  /// Run `targets` (canonical batch order) in forked worker subprocesses
-  /// under a proc::Supervisor. Task i maps to worker i % W — the same
-  /// schedule slotted_for uses — and each task rates its member with the
-  /// exact run_member() code the in-process path runs, on the same slot
-  /// clone, so the member outputs are bit-identical; only the transport
-  /// differs (a JSONL frame instead of shared memory). A worker death
-  /// requeues the task onto a fresh fork with a bumped process-attempt
-  /// counter; after max_task_attempts the config is treated as a
-  /// deterministic crasher (see synthesize_process_failure).
-  void run_members_isolated(const std::vector<MemberState*>& targets) {
-    if (targets.empty()) return;
-    const std::size_t slots = std::min<std::size_t>(
-        driver_.options_.isolate_workers, targets.size());
-    ensure_slots(slots);
-    proc::SupervisorPolicy policy;
-    policy.workers = slots;
-    // The TaskFn body executes in the forked child: it inherits the
-    // evaluator frozen at fork time (members, memo, quarantine, slot
-    // clones) by copy-on-write and ships the member's buffered deltas
-    // back as one frame. Nothing the child mutates is visible here.
-    proc::Supervisor sup(
-        [this, &targets, slots](std::size_t task, std::size_t attempt) {
-          MemberState& m = *targets[task];
-          m.backend = slots_[task % slots].get();
-          // Lets a transient hard-crash verdict clear on the retry fork
-          // (and a deterministic one keep firing until quarantine).
-          m.backend->set_process_attempt(attempt);
-          run_member(m);
-          return serialize_member(m);
-        },
-        policy);
-    const std::vector<proc::TaskOutcome> outs = sup.run(targets.size());
-    PEAK_CHECK(outs.size() == targets.size(), "supervisor outcome arity");
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      MemberState& m = *targets[i];
-      if (outs[i].ok)
-        apply_member_payload(m, outs[i].payload);
-      else
-        synthesize_process_failure(m, outs[i]);
-      // Wall burned on dead attempts is real tuning overhead, but never
-      // simulated cycles: charging cycles would perturb simulated_time
-      // and break bit-identity with the crash-free run. Retried-then-
-      // succeeded attempts land on "retry", given-up ones on "faulted".
-      for (const proc::WorkerFailure& f : outs[i].failures)
-        (outs[i].ok ? proc_retry_wall_us_ : proc_faulted_wall_us_) +=
-            f.burned_wall_us;
-    }
+  [[nodiscard]] bool on_fleet() const {
+    return driver_.options_.coordinator != nullptr ||
+           driver_.options_.isolate_workers >= 1;
   }
 
-  // ---- Distributed rating (options_.coordinator != nullptr) -------------
-
-  /// Run `targets` (canonical batch order) on the coordinator's worker
-  /// fleet. Each member becomes one RemoteMemberTask — method, config
-  /// bits, content-derived stream seed, and the frozen memo entries the
-  /// rating may read (at most the base's and the candidate's) — so the
-  /// remote rating is the same pure function of content the local slot
-  /// threads compute; only the transport differs. Results come back in
-  /// the `proc` member wire format and flow through the exact
-  /// apply/synthesize pair the isolated path uses, including the
-  /// wall-burned accounting for dead workers.
-  void run_members_remote(const std::vector<MemberState*>& targets) {
+  /// Run `targets` (canonical batch order) on a worker fleet: the
+  /// driver's TCP fleet, else isolate_workers children forked for this
+  /// round. Each member ships as a RemoteMemberTask (method, config bits,
+  /// content-derived stream seed, the frozen memo entries it may read), so
+  /// a TCP agent computes the same pure function of content the slot
+  /// threads do; a forked child instead rates targets[id] with the exact
+  /// run_member() code on slot clone id % W, from the evaluator state
+  /// frozen at fork time (copy-on-write). Either way the member's deltas
+  /// come back as one frame. A worker death requeues the task with a
+  /// bumped process attempt; after max_task_attempts the config is a
+  /// crasher (see synthesize_process_failure).
+  void run_members_on_fleet(const std::vector<MemberState*>& targets) {
     if (targets.empty()) return;
     std::vector<RemoteMemberTask> tasks;
     tasks.reserve(targets.size());
@@ -919,17 +866,36 @@ private:
       }
       tasks.push_back(std::move(t));
     }
-    const std::vector<proc::TaskOutcome> outs =
-        driver_.options_.coordinator->run_round(tasks);
-    PEAK_CHECK(outs.size() == targets.size(), "coordinator outcome arity");
+    dist::Coordinator* fleet = driver_.options_.coordinator;
+    std::optional<dist::Coordinator> forked;
+    if (fleet == nullptr) {
+      const std::size_t workers = std::min<std::size_t>(
+          driver_.options_.isolate_workers, targets.size());
+      ensure_slots(workers);
+      forked.emplace(workers, [this, &targets,
+                               workers](const dist::TaskFrame& task) {
+        MemberState& m = *targets[task.id];
+        m.backend = slots_[task.id % workers].get();
+        // Lets a transient hard-crash verdict clear on the retry fork
+        // (and a deterministic one keep firing until quarantine).
+        m.backend->set_process_attempt(task.attempt);
+        run_member(m);
+        return serialize_member(m);
+      });
+      fleet = &*forked;
+    }
+    const std::vector<proc::TaskOutcome> outs = fleet->run_round(tasks);
+    PEAK_CHECK(outs.size() == targets.size(), "fleet outcome arity");
     for (std::size_t i = 0; i < targets.size(); ++i) {
       MemberState& m = *targets[i];
       if (outs[i].ok)
         apply_member_payload(m, outs[i].payload);
       else
         synthesize_process_failure(m, outs[i]);
-      // Same wall-only accounting as the isolated path: dead dispatches
-      // burn real time but never simulated cycles.
+      // Wall burned on dead attempts is real tuning overhead, but never
+      // simulated cycles: charging cycles would perturb simulated_time
+      // and break bit-identity with the crash-free run. Retried-then-
+      // succeeded attempts land on "retry", given-up ones on "faulted".
       for (const proc::WorkerFailure& f : outs[i].failures)
         (outs[i].ok ? proc_retry_wall_us_ : proc_faulted_wall_us_) +=
             f.burned_wall_us;

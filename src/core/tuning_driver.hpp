@@ -97,9 +97,9 @@ struct DriverOptions {
   /// installed — injector verdicts depend on retry/quarantine state that
   /// is not part of the cache key.
   RatingCache* rating_cache = nullptr;
-  /// Out-of-process rating isolation (src/proc/): N >= 1 runs every batch
-  /// member in a forked, supervised worker subprocess instead of a pool
-  /// thread, so a rating that takes its process down (FaultKind::
+  /// Out-of-process rating isolation (src/proc/, src/dist/): N >= 1 runs
+  /// every batch member in a worker forked for its round and served by
+  /// the dist::Coordinator event loop instead of a pool thread, so a rating that takes its process down (FaultKind::
   /// kHardCrash, a real SIGSEGV, an rlimit kill) costs one worker, not
   /// the run. Members keep the same per-slot clone + frozen-state +
   /// buffered-delta contract, so the TuningOutcome is bit-identical to

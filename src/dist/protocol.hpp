@@ -1,16 +1,16 @@
 #pragma once
 
 /// \file protocol.hpp
-/// Wire protocol of the distributed tuning layer (`peak::dist`). Frames
-/// reuse the `proc` framing verbatim — eight lowercase hex digits of
-/// payload length, then a single-line JSONL record — because a TCP socket
-/// and a pipe deliver the same torn byte stream and `proc::FrameReader`
-/// was built for exactly that. Doubles travel as 16-hex IEEE-754 bit
-/// patterns (core/jsonl), so a session spec and a memo entry round-trip
-/// bit-exactly; that is a precondition of the coordinator's bit-identity
-/// guarantee, not a nicety.
+/// Wire protocol of the worker runtime (`peak::dist`). Frames reuse the
+/// `proc` framing verbatim — eight lowercase hex digits of payload
+/// length, then a single-line JSONL record — over a TCP socket or a
+/// forked worker's socketpair alike. Doubles travel as 16-hex IEEE-754
+/// bit patterns (core/jsonl), so a session spec and a memo entry
+/// round-trip bit-exactly; that is a precondition of the coordinator's
+/// bit-identity guarantee, not a nicety.
 ///
-/// Conversation (docs/INTERNALS.md §13):
+/// Conversation (docs/INTERNALS.md §12); a forked worker is born ready
+/// and starts at the task frames:
 ///
 ///   worker → coord   {"op":"hello","version":1,"name":…}
 ///   coord  → worker  {"op":"session","version":1,"spec":{…}}
@@ -20,7 +20,7 @@
 ///   worker → coord   {"op":"result","id":N,"payload":…}
 ///                    {"op":"err","id":N,"what":…}   (rating host threw)
 ///                    {"op":"hb","seq":N}            (liveness, 100ms-ish)
-///   coord  → worker  {"op":"bye"}             (graceful fleet shutdown)
+///   coord  → worker  {"op":"bye"}             (end of session or round)
 ///
 /// The version field is checked on both sides of the handshake; a
 /// mismatch gets an explicit refuse frame (so the operator sees *why*

@@ -1,15 +1,15 @@
 #include "dist/worker_agent.hpp"
 
 #include <poll.h>
-#include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <stop_token>
 #include <thread>
 
 #include "core/remote_eval.hpp"
@@ -21,86 +21,46 @@
 
 namespace peak::dist {
 
-namespace {
-
-void ignore_sigpipe_once() {
-  static const bool done = [] {
-    ::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)done;
-}
-
-/// Frame writes from the agent's main loop and its heartbeat thread
-/// interleave on one socket; the mutex keeps frames atomic (the same
-/// reason proc's ChildWriter exists).
-class SharedWriter {
-public:
-  explicit SharedWriter(int fd) : fd_(fd) {}
-
-  bool write(const std::string& payload) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return proc::write_frame(fd_, payload);
-  }
-
-private:
-  int fd_;
-  std::mutex mutex_;
-};
-
-/// Heartbeat thread: one hb frame per interval, from hello until the
-/// session ends. Started before the (potentially long) scenario rebuild
-/// so the coordinator never mistakes profiling for death.
-class Heartbeat {
-public:
-  Heartbeat(SharedWriter& writer, int interval_ms)
-      : writer_(writer), interval_ms_(interval_ms), thread_([this] {
-          std::uint64_t seq = 0;
-          std::unique_lock<std::mutex> lock(mutex_);
-          while (!stop_) {
-            cv_.wait_for(lock,
-                         std::chrono::milliseconds(interval_ms_),
-                         [this] { return stop_; });
-            if (stop_) break;
-            if (!writer_.write(heartbeat_frame(seq++))) break;
-          }
-        }) {}
-
-  ~Heartbeat() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-private:
-  SharedWriter& writer_;
-  int interval_ms_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-}  // namespace
-
-int WorkerAgent::serve(int fd) {
-  ignore_sigpipe_once();
-  SharedWriter writer(fd);
+int WorkerAgent::serve(int fd, RateFn rate) {
+  proc::ignore_sigpipe_once();
+  const bool forked = static_cast<bool>(rate);
+  // Frame writes from the serve loop and the heartbeat thread share one
+  // socket; the mutex keeps frames atomic.
+  std::mutex write_mutex;
+  const auto write = [&write_mutex, fd](const std::string& payload) {
+    std::lock_guard lock(write_mutex);
+    return proc::write_frame(fd, payload);
+  };
   int status = 0;
   {
-    Heartbeat heartbeat(writer, options_.heartbeat_interval_ms);
-    if (!writer.write(hello_frame(options_.name))) {
-      ::close(fd);
-      return 1;
-    }
+    // One hb frame per interval from hello until the session ends, started
+    // before the (potentially long) scenario rebuild so the coordinator
+    // never mistakes profiling for death.
+    std::jthread heartbeat([&write, this](std::stop_token stop) {
+      const std::chrono::milliseconds interval(
+          options_.heartbeat_interval_ms);
+      std::mutex mutex;
+      std::condition_variable_any wake;
+      std::unique_lock lock(mutex);
+      try {
+        for (std::uint64_t seq = 0;; ++seq) {
+          wake.wait_for(lock, stop, interval, [] { return false; });
+          if (stop.stop_requested() || !write(heartbeat_frame(seq)))
+            return;
+        }
+      } catch (const std::bad_alloc&) {
+        // Stop beating rather than terminate the process: a worker that
+        // stays silent is declared dead by the coordinator.
+      }
+    });
+    const auto fail = [&status](const std::string& why) {
+      std::fprintf(stderr, "peak worker: %s\n", why.c_str());
+      status = 1;
+    };
+    bool done = !forked && !write(hello_frame(options_.name));
+    if (done) status = 1;
     proc::FrameReader reader;
-    std::unique_ptr<core::RemoteRatingHost> host;
     std::uint64_t tasks_done = 0;
-    bool abrupt = false;
-    bool done = false;
     while (!done) {
       char buf[65536];
       const ssize_t got = ::read(fd, buf, sizeof buf);
@@ -108,98 +68,65 @@ int WorkerAgent::serve(int fd) {
       reader.feed(buf, static_cast<std::size_t>(got));
       std::optional<std::string> payload;
       while (!done && (payload = reader.next())) {
-        core::jsonl::JsonValue record;
-        std::string op;
+        done = true;  // every branch but a served task ends the session
         try {
-          record = parse_frame(*payload);
-          op = frame_op(record);
-        } catch (const support::CheckError& e) {
-          std::fprintf(stderr, "peak worker: bad frame: %s\n", e.what());
-          status = 1;
-          done = true;
-          break;
-        }
-        if (op == "session") {
-          try {
+          const core::jsonl::JsonValue record = parse_frame(*payload);
+          const std::string op = frame_op(record);
+          if (op == "session" && !rate) {
             const std::uint64_t version = record.at("version").as_u64();
             PEAK_CHECK(version == kDistProtocolVersion,
                        "coordinator protocol version " +
                            std::to_string(version) + " != " +
                            std::to_string(kDistProtocolVersion));
-            host = std::make_unique<core::RemoteRatingHost>(
+            auto host = std::make_shared<core::RemoteRatingHost>(
                 parse_session_spec(record.at("spec")));
-          } catch (const support::CheckError& e) {
-            std::fprintf(stderr, "peak worker: cannot serve session: %s\n",
-                         e.what());
-            status = 1;
-            done = true;
-            break;
+            rate = [host](const TaskFrame& task) {
+              return host->rate(task.task);
+            };
+            done = !write(ready_frame());
+            if (done) status = 1;
+          } else if (op == "task" && rate) {
+            std::uint64_t id = 0;
+            std::string reply;
+            try {
+              id = record.at("id").as_u64();
+              reply = result_frame(id, rate(parse_task_frame(record)));
+            } catch (const std::exception& e) {
+              if (forked) throw;
+              reply = error_frame(id, e.what());
+            }
+            // A failed write means the coordinator is gone: a clean end.
+            // The max_tasks hook dies like a crashed worker instead:
+            // the socket drops mid-session with no goodbye.
+            done = !write(reply) ||
+                   (options_.max_tasks != 0 &&
+                    ++tasks_done >= options_.max_tasks);
+          } else if (op == "refuse") {
+            fail("refused: " + record.at("reason").as_string());
+          } else if (op == "bye") {
+            // A forked child leaves at once, without the heartbeat join:
+            // its round is waiting for the reap.
+            if (forked) _exit(0);
+          } else {
+            fail("unexpected frame '" + op + "'");
           }
-          if (!writer.write(ready_frame())) {
-            status = 1;
-            done = true;
-          }
-        } else if (op == "task") {
-          if (host == nullptr) {
-            std::fprintf(stderr, "peak worker: task before session\n");
-            status = 1;
-            done = true;
-            break;
-          }
-          std::uint64_t id = 0;
-          std::string result;
-          std::string error;
-          try {
-            id = record.at("id").as_u64();
-            const TaskFrame task = parse_task_frame(record);
-            result = host->rate(task.task);
-          } catch (const std::exception& e) {
-            error = e.what();
-          }
-          const bool sent =
-              error.empty() ? writer.write(result_frame(id, result))
-                            : writer.write(error_frame(id, error));
-          if (!sent) {
-            status = 1;
-            done = true;
-            break;
-          }
-          ++tasks_done;
-          if (options_.max_tasks != 0 &&
-              tasks_done >= options_.max_tasks) {
-            // Test hook: die like a crashed worker — drop the socket
-            // mid-session with no goodbye.
-            abrupt = true;
-            done = true;
-          }
-        } else if (op == "refuse") {
-          std::fprintf(stderr, "peak worker: refused: %s\n",
-                       record.at("reason").as_string().c_str());
-          status = 1;
-          done = true;
-        } else if (op == "bye") {
-          done = true;
-        } else {
-          std::fprintf(stderr, "peak worker: unexpected frame '%s'\n",
-                       op.c_str());
-          status = 1;
-          done = true;
+        } catch (const support::CheckError& e) {
+          if (forked) throw;
+          fail(e.what());
         }
       }
       if (reader.corrupted()) {
-        std::fprintf(stderr, "peak worker: corrupt stream\n");
-        status = 1;
+        fail("corrupt stream");
         break;
       }
     }
-    (void)abrupt;  // an abrupt end is still exit 0: the hook did its job
   }
   ::close(fd);
   return status;
 }
 
 int WorkerAgent::run() {
-  ignore_sigpipe_once();
+  proc::ignore_sigpipe_once();
   if (!options_.listen) {
     std::string error;
     const int fd =

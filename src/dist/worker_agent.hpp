@@ -1,19 +1,23 @@
 #pragma once
 
 /// \file worker_agent.hpp
-/// Worker side of distributed tuning (`peak::dist`): the long-lived agent
-/// behind `peak worker`. One agent serves one coordinator session at a
-/// time — handshake, rebuild the tuning scenario from the SessionSpec,
-/// then a task loop that rates shipped batch members through the exact
-/// in-process batch-member code path and streams the serialized deltas
-/// back. A heartbeat thread keeps the coordinator's liveness clock fed
-/// (writes share a mutex with result frames, the ChildWriter idiom from
-/// `proc`), and every rating is a pure function of the task descriptor,
-/// so a worker can die, rejoin, or be replaced without perturbing the
-/// run's bit-identical outcome.
+/// Worker side of the worker runtime (`peak::dist`): the one serve loop
+/// behind both kinds of worker. A TCP agent (`peak worker`) serves one
+/// coordinator session at a time — handshake, rebuild the tuning scenario
+/// from the SessionSpec, then a task loop that rates shipped batch
+/// members through the exact in-process batch-member code path and
+/// streams the serialized deltas back. A forked local worker runs the
+/// same loop on its socketpair with a rate callback bound at fork time.
+/// A heartbeat thread keeps the coordinator's liveness clock fed (its
+/// writes share a mutex with result frames), and every rating is a pure
+/// function of the task descriptor, so a worker can die, rejoin, or be
+/// replaced without perturbing the run's bit-identical outcome.
 
 #include <cstdint>
+#include <functional>
 #include <string>
+
+#include "dist/protocol.hpp"
 
 namespace peak::dist {
 
@@ -44,13 +48,23 @@ struct WorkerOptions {
 
 class WorkerAgent {
 public:
+  /// Rates one task, returning the serialized member delta.
+  using RateFn = std::function<std::string(const TaskFrame&)>;
+
   explicit WorkerAgent(WorkerOptions options) : options_(std::move(options)) {}
 
   /// Serve one coordinator session on an established connection. Owns
-  /// and closes `fd`. Returns 0 on a graceful end (bye frame, peer EOF,
-  /// or the max_tasks hook tripping), non-zero on refusal or a protocol/
-  /// scenario error (a diagnostic goes to stderr).
-  int serve(int fd);
+  /// and closes `fd`. Without `rate` (a TCP agent) the session starts
+  /// with the hello/session handshake, tasks are rated on a
+  /// RemoteRatingHost rebuilt from the spec, and a task that throws is
+  /// answered with an err frame. With `rate` (a forked worker, whose
+  /// copy-on-write snapshot is the scenario) the connection is born
+  /// ready, an exception from `rate` propagates so the process exits
+  /// with its classified status, and a bye frame _exit()s the process
+  /// with status 0 at once. Returns 0 on a graceful end (bye frame,
+  /// coordinator gone, or the max_tasks hook tripping), non-zero on
+  /// refusal or a protocol/scenario error (a diagnostic goes to stderr).
+  int serve(int fd, RateFn rate = {});
 
   /// Full lifecycle for the CLI: connect mode dials and serves once;
   /// listen mode accepts and serves sessions until a shutdown signal.

@@ -3,6 +3,8 @@
 #include <errno.h>
 #include <unistd.h>
 
+#include <csignal>
+
 namespace peak::proc {
 
 namespace {
@@ -39,6 +41,14 @@ bool write_frame(int fd, std::string_view payload) {
     written += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+void ignore_sigpipe_once() {
+  static const bool installed = [] {
+    std::signal(SIGPIPE, SIG_IGN);
+    return true;
+  }();
+  (void)installed;
 }
 
 void FrameReader::feed(const char* data, std::size_t n) {

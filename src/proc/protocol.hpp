@@ -1,20 +1,21 @@
 #pragma once
 
 /// \file protocol.hpp
-/// Length-prefixed framing for the worker-subprocess wire protocol
-/// (`peak::proc`). Every message between the supervisor and a worker is
-/// one frame: eight lowercase hex digits giving the payload byte length,
-/// then exactly that many payload bytes. Payloads are single-line JSONL
-/// records in the same dialect as the journal and rating cache
-/// (core/jsonl), so a result frame can carry bit-exact doubles.
+/// Length-prefixed framing for the worker wire protocol (`peak::proc`).
+/// Every message between the coordinator and a worker — a forked child on
+/// a socketpair or a TCP agent — is one frame: eight lowercase hex digits
+/// giving the payload byte length, then exactly that many payload bytes.
+/// Payloads are single-line JSONL records in the same dialect as the
+/// journal and rating cache (core/jsonl), so a result frame can carry
+/// bit-exact doubles.
 ///
-/// The framing exists because pipes deliver byte streams, not messages: a
-/// worker killed mid-write leaves a partial frame, and the reader must be
+/// The framing exists because sockets deliver byte streams, not messages:
+/// a worker killed mid-write leaves a partial frame, and the reader must be
 /// able to tell "incomplete, keep waiting" from "complete, process it"
 /// from "corrupt, the peer is broken". FrameReader is incremental — feed
 /// it whatever read() returned and drain complete frames — and flags
 /// corruption (a non-hex prefix or an absurd length) without throwing, so
-/// the supervisor can classify the worker instead of dying with it.
+/// the coordinator can classify the worker instead of dying with it.
 
 #include <cstddef>
 #include <optional>
@@ -38,10 +39,15 @@ constexpr std::size_t kFramePrefixLen = 8;
 /// the peer is gone (EPIPE / any write error).
 bool write_frame(int fd, std::string_view payload);
 
+/// A peer vanishing mid-write must surface as EPIPE from write_frame, not
+/// as a process-fatal SIGPIPE. Installed once, never restored: every
+/// writer in this process checks its write() results.
+void ignore_sigpipe_once();
+
 /// Incremental frame decoder over an arbitrary byte stream.
 class FrameReader {
 public:
-  /// Append raw bytes read from the pipe.
+  /// Append raw bytes read from the socket.
   void feed(const char* data, std::size_t n);
 
   /// Next complete payload, or nullopt when more bytes are needed (or

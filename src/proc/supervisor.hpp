@@ -1,41 +1,29 @@
 #pragma once
 
 /// \file supervisor.hpp
-/// Supervised execution of a batch of tasks across forked worker
-/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 with the
-/// same deterministic slot mapping as support::ThreadPool::slotted_for —
-/// task i belongs to slot i % workers, each slot processes its items in
-/// increasing order — so a caller that merges results in canonical task
-/// order gets output independent of worker timing *and* of how many
-/// times a worker died along the way.
-///
-/// The supervisor's event loop polls every worker pipe, feeds a
-/// watchdog, and turns each worker death into a typed WorkerFailure:
-///   clean    normal exit after being told to (never a failure)
-///   signal   killed by an uncaught signal (SIGSEGV, SIGABRT, ...)
-///   timeout  killed by the watchdog (stalled past the per-task
-///            deadline, SIGTERM then SIGKILL) or by RLIMIT_CPU (SIGXCPU)
-///   oom      exited with kExitOom after RLIMIT_AS made an allocation
-///            throw std::bad_alloc
-///   nonzero  any other exit status (task exception, protocol error)
-/// A failed attempt is requeued onto a freshly forked worker with an
-/// incremented process-attempt counter; after max_task_attempts failures
-/// the task is marked permanently failed and reported with its failure
-/// history, so the caller can decide whether the failures were identical
-/// (deterministic — quarantine the config) or mixed/transient.
+/// Supervision of forked worker processes (`peak::proc`): the parts of
+/// the worker runtime that only a forked child has. ForkedWorker forks a
+/// child onto a socketpair, applies setrlimit caps in it, escalates a
+/// stalled child from SIGTERM to SIGKILL, and turns its waitpid status
+/// into a typed WorkerFailure (classes and signatures: docs/INTERNALS.md
+/// §12). Dispatch, heartbeats, requeue and attempt signatures belong to
+/// the one event loop in dist::Coordinator, which serves forked children
+/// and TCP agents alike.
 
 #include <sys/types.h>
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "proc/worker.hpp"
-
 namespace peak::proc {
 
+/// clean: told to exit and did (never a failure); signal: an uncaught
+/// signal; timeout: stalled, silent, or RLIMIT_CPU; oom: kExitOom after
+/// RLIMIT_AS; nonzero: any other exit status.
 enum class ExitClass { kClean, kSignal, kTimeout, kOom, kNonzero };
 
 [[nodiscard]] const char* to_string(ExitClass cls);
@@ -47,16 +35,16 @@ struct WorkerFailure {
   std::size_t slot = 0;
   std::size_t task = 0;
   std::size_t attempt = 0;
-  double burned_wall_us = 0.0;  ///< wall from dispatch to reap
+  double burned_wall_us = 0.0;  ///< wall from dispatch to the death
   /// Stable identity of the failure mode ("signal:11", "timeout",
-  /// "oom", "exit:87"); K identical signatures on one task mean the
-  /// failure is deterministic.
+  /// "oom", "exit:87", "disconnect"); K identical signatures on one task
+  /// mean the failure is deterministic.
   std::string signature;
 };
 
 struct TaskOutcome {
   bool ok = false;
-  std::string payload;  ///< the TaskFn's return value when ok
+  std::string payload;  ///< the worker's result payload when ok
   std::size_t attempts = 0;
   std::vector<WorkerFailure> failures;
 
@@ -65,44 +53,23 @@ struct TaskOutcome {
   [[nodiscard]] bool failures_identical() const;
 };
 
-struct SupervisorPolicy {
-  std::size_t workers = 1;
-  std::chrono::milliseconds heartbeat_interval{25};
-  /// Per-dispatch deadline: a worker that holds one task longer than
-  /// this is stalled and gets SIGTERM.
-  std::chrono::milliseconds stall_timeout{10'000};
-  /// SIGTERM → SIGKILL escalation grace.
-  std::chrono::milliseconds term_grace{250};
-  /// Attempts per task before giving up (1 initial + retries).
-  std::size_t max_task_attempts = 3;
-  ResourceLimits limits;
-  /// Publish per-worker rows to WorkerTable::global() (the /workers
-  /// endpoint); off for nested/throwaway supervisors in tests.
-  bool update_worker_table = true;
+/// Resource caps applied in a forked worker before it serves. Zero means
+/// "leave unlimited". Core dumps are always off: crashes are routine.
+struct ResourceLimits {
+  unsigned cpu_seconds = 0;            ///< RLIMIT_CPU (SIGXCPU at cap)
+  std::size_t address_space_bytes = 0; ///< RLIMIT_AS (bad_alloc at cap)
 };
 
-/// Counters mirrored into the obs registry (proc.* metrics) as they
-/// happen; this struct is the per-supervisor view.
-struct SupervisorStats {
-  std::uint64_t spawned = 0;
-  std::uint64_t respawned = 0;
-  std::uint64_t term_kills = 0;
-  std::uint64_t kill_kills = 0;
-  std::uint64_t heartbeat_gaps = 0;
-  std::uint64_t tasks_retried = 0;
-  std::uint64_t tasks_failed = 0;
-  std::uint64_t exits_clean = 0;
-  std::uint64_t exits_signal = 0;
-  std::uint64_t exits_timeout = 0;
-  std::uint64_t exits_oom = 0;
-  std::uint64_t exits_nonzero = 0;
-  double burned_wall_us = 0.0;  ///< total wall on failed attempts
-};
+/// Child exit codes with classification meaning (avoid 0..2 and the
+/// 128+N signal range).
+constexpr int kExitOom = 86;        ///< std::bad_alloc escaped the task
+constexpr int kExitTaskError = 87;  ///< any other exception escaped
+constexpr int kExitProtocol = 88;   ///< connection closed / corrupt
 
-/// Called on the supervisor's thread right after `task` (process attempt
-/// `attempt`) has been sent to the worker `pid`. A test seam: it lets a
-/// caller kill a worker at an exact point of a round — while it holds a
-/// known task — instead of racing the event loop.
+/// Called by the worker runtime right after `task` (process attempt
+/// `attempt`) has been sent to the worker `pid` (0 for a TCP agent). A
+/// test seam: it lets a caller kill a worker at an exact point of a round
+/// — while it holds a known task — instead of racing the event loop.
 using DispatchHook =
     std::function<void(std::size_t task, std::size_t attempt, pid_t pid)>;
 
@@ -110,42 +77,58 @@ using DispatchHook =
 /// hook. Set it before a run and clear it after; it is not synchronized
 /// against a run in progress.
 void set_dispatch_hook(DispatchHook hook);
+[[nodiscard]] const DispatchHook& dispatch_hook();
 
-/// Called on the supervisor's thread right after the drained worker `pid`
-/// in `slot` has been sent its exit command, before it is reaped. A test
-/// seam for the table state between the drain and the reap.
+/// Called right after the forked worker `pid` in `slot` has been told to
+/// exit (its round has no work left for it), before it is reaped. A test seam for the
+/// worker table between the drain and the reap.
 using DrainHook = std::function<void(std::size_t slot, pid_t pid)>;
 
 /// Install (or clear) the process-wide drain hook, as set_dispatch_hook.
 void set_drain_hook(DrainHook hook);
+[[nodiscard]] const DrainHook& drain_hook();
 
-class Supervisor {
+/// One forked worker process. The parent forks at the moment the round's
+/// shared state is frozen, so the child inherits a copy-on-write snapshot
+/// of everything `body` references without any serialization of inputs.
+class ForkedWorker {
 public:
-  Supervisor(TaskFn fn, SupervisorPolicy policy);
-  ~Supervisor();  ///< kills and reaps any worker still alive
+  /// Fork a child onto a fresh socketpair. The child closes the parent's
+  /// end and every fd in `close_in_child` (the siblings' ends: an
+  /// inherited copy would keep a dead sibling's socket open and hide its
+  /// EOF), resets SIGINT/SIGTERM to their defaults so the escalation is
+  /// observable, applies `limits`, runs `body` on its end and _exit()s
+  /// with its result — kExitOom if it throws std::bad_alloc,
+  /// kExitTaskError for any other exception — so no atexit handler or
+  /// static destructor runs twice. Throws support::CheckError when
+  /// socketpair() or fork() fails.
+  ForkedWorker(const ResourceLimits& limits,
+               const std::vector<int>& close_in_child,
+               const std::function<int(int fd)>& body);
+  ~ForkedWorker();  ///< SIGKILLs and reaps a child not yet reaped
 
-  Supervisor(const Supervisor&) = delete;
-  Supervisor& operator=(const Supervisor&) = delete;
+  ForkedWorker(const ForkedWorker&) = delete;
+  ForkedWorker& operator=(const ForkedWorker&) = delete;
 
-  /// Execute tasks 0..num_tasks-1; returns one outcome per task, in
-  /// task order. Throws support::ShutdownRequested (after killing and
-  /// reaping the fleet) if a shutdown signal arrives mid-round.
-  std::vector<TaskOutcome> run(std::size_t num_tasks);
+  [[nodiscard]] pid_t pid() const { return pid_; }
+  /// The parent's end of the socketpair; closed by the destructor.
+  [[nodiscard]] int fd() const { return fd_; }
 
-  [[nodiscard]] const SupervisorStats& stats() const { return stats_; }
+  /// The child holds a task past its deadline: SIGTERM on the first call,
+  /// SIGKILL once `grace` has passed since. Returns the signal sent, or 0.
+  /// The death then classifies as a timeout.
+  int escalate(std::chrono::milliseconds grace);
+
+  /// Block until the child exits and classify how; nullopt for the clean
+  /// exit of a child that was told to exit.
+  std::optional<WorkerFailure> reap(bool told_to_exit);
 
 private:
-  struct Slot;
-
-  void spawn_slot(Slot& slot, bool respawn);
-  void dispatch(Slot& slot);
-  void reap(Slot& slot, std::vector<TaskOutcome>& outcomes);
-  void kill_all();
-
-  TaskFn fn_;
-  SupervisorPolicy policy_;
-  SupervisorStats stats_;
-  std::vector<Slot> slots_;
+  pid_t pid_ = -1;  ///< -1 once reaped
+  int fd_ = -1;
+  bool term_sent_ = false;
+  bool kill_sent_ = false;
+  std::chrono::steady_clock::time_point term_at_{};
 };
 
 }  // namespace peak::proc

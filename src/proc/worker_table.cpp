@@ -37,19 +37,12 @@ WorkerTable& WorkerTable::global() {
 
 void WorkerTable::spawned(std::size_t slot, pid_t pid, bool respawn) {
   std::lock_guard lock(mutex_);
-  Row& row = rows_[slot];
-  const std::uint64_t respawns = row.respawns + (respawn ? 1 : 0);
-  const std::uint64_t tasks_done = row.tasks_done;
-  const std::string last_failure = row.last_failure;
-  const std::string label = row.label;
-  row = Row{};
+  Row& row = rows_[slot];  // keeps tasks_done, respawns, failure, label
   row.slot = slot;
   row.pid = pid;
   row.state = "idle";
-  row.respawns = respawns;
-  row.tasks_done = tasks_done;
-  row.last_failure = last_failure;
-  row.label = label;
+  row.current_task = 0;
+  if (respawn) ++row.respawns;
 }
 
 void WorkerTable::set_label(std::size_t slot, const std::string& label) {

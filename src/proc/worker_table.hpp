@@ -2,7 +2,7 @@
 
 /// \file worker_table.hpp
 /// Process-wide registry of worker-subprocess state (`peak::proc`). The
-/// supervisor updates one row per worker slot as it spawns, dispatches
+/// worker runtime updates one row per worker slot as it spawns, dispatches
 /// to, and reaps workers; the telemetry server's /workers endpoint and
 /// the tests read point-in-time snapshots. Rows are keyed by slot, not
 /// pid: a respawned worker replaces its predecessor's row and bumps the
@@ -50,7 +50,7 @@ public:
   void exiting(std::size_t slot);
   void finished(std::size_t slot, std::uint64_t tasks_done);
   void died(std::size_t slot, const std::string& failure_signature);
-  /// Drop every row (start of a fresh supervised round).
+  /// Drop every row (start of a fresh forked round).
   void clear();
 
   [[nodiscard]] std::vector<Row> snapshot() const;

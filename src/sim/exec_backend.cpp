@@ -204,7 +204,7 @@ fault::FaultKind SimExecutionBackend::fault_kind(
     // re-queried with the *process*-level attempt: a respawned worker
     // retries under attempt > 0, so a transient hard crash clears on the
     // second process, while a deterministic (or sticky scripted) one
-    // aborts every attempt until the supervisor gives up and the config
+    // aborts every attempt until the worker runtime gives up and the config
     // lands in quarantine. Nothing is charged and no randomness is
     // consumed before the abort, so a survived retry is bit-identical to
     // a run that never crashed. Only --isolate-workers runs survive this.

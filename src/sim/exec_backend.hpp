@@ -158,12 +158,12 @@ public:
   /// executor bumps this so transient faults can clear on retry).
   void set_fault_attempt(std::size_t attempt) { fault_attempt_ = attempt; }
 
-  /// Process-level attempt number (the worker supervisor bumps this when
+  /// Process-level attempt number (the worker runtime bumps this when
   /// it respawns a crashed worker and requeues its task). A hard-crash
   /// verdict is re-queried with this attempt before aborting, so a
   /// transient hard crash fires only in the first worker process and the
   /// respawned retry survives — while a deterministic one aborts every
-  /// attempt until the supervisor gives up and quarantines the config.
+  /// attempt until the worker runtime gives up and quarantines the config.
   void set_process_attempt(std::size_t attempt) {
     process_attempt_ = attempt;
   }

@@ -3,7 +3,7 @@
 /// \file shutdown.hpp
 /// Cooperative shutdown for `peak tune`: a SIGINT/SIGTERM handler flips a
 /// process-wide flag that long-running loops poll at safe boundaries (the
-/// evaluator checks it at batch entry, the worker supervisor between
+/// evaluator checks it at batch entry, the worker runtime between
 /// dispatches). The first signal requests a graceful stop — the caller
 /// unwinds via ShutdownRequested, flushing the journal and rating cache
 /// (both are flushed per record anyway), stopping the telemetry server,

@@ -1,46 +1,71 @@
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/profile.hpp"
+#include "core/tuning_driver.hpp"
+#include "dist/coordinator.hpp"
 #include "proc/supervisor.hpp"
 #include "proc/worker_table.hpp"
 #include "support/shutdown.hpp"
+#include "workloads/workload.hpp"
 
 namespace peak::proc {
 namespace {
 
 using namespace std::chrono_literals;
+using dist::Coordinator;
+using dist::DistPolicy;
+using dist::TaskFrame;
 
-/// Policies for raw-task tests: throwaway supervisors that should not
+/// Policies for raw-task tests: throwaway forked fleets that should not
 /// publish rows to the global worker table, with timings tightened so
 /// watchdog paths run in milliseconds instead of the production seconds.
-SupervisorPolicy test_policy(std::size_t workers) {
-  SupervisorPolicy policy;
-  policy.workers = workers;
+DistPolicy test_policy() {
+  DistPolicy policy;
   policy.update_worker_table = false;
-  policy.heartbeat_interval = 10ms;
   policy.stall_timeout = 2000ms;
   policy.term_grace = 100ms;
   return policy;
 }
 
-TEST(Supervisor, RunsTasksInOrderAcrossWorkers) {
-  Supervisor sup(
-      [](std::size_t task, std::size_t) {
-        return "result-" + std::to_string(task);
+/// A forked fleet of `workers` children per round, each running `task`
+/// on (task index, process attempt).
+template <typename TaskFn>
+Coordinator fleet(std::size_t workers, TaskFn task,
+                  DistPolicy policy = test_policy()) {
+  return Coordinator(
+      workers,
+      [task](const TaskFrame& frame) -> std::string {
+        return task(frame.id, frame.attempt);
       },
-      test_policy(3));
-  const std::vector<TaskOutcome> outcomes = sup.run(10);
+      policy);
+}
+
+/// Run tasks 0..n-1 as one round.
+std::vector<TaskOutcome> run(Coordinator& fleet, std::size_t n) {
+  return fleet.run_round(std::vector<core::RemoteMemberTask>(n));
+}
+
+TEST(Supervisor, RunsTasksInOrderAcrossWorkers) {
+  Coordinator sup = fleet(3, [](std::size_t task, std::size_t) {
+    return "result-" + std::to_string(task);
+  });
+  const std::vector<TaskOutcome> outcomes = run(sup, 10);
   ASSERT_EQ(outcomes.size(), 10u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok) << i;
@@ -48,37 +73,34 @@ TEST(Supervisor, RunsTasksInOrderAcrossWorkers) {
     EXPECT_EQ(outcomes[i].attempts, 1u);
     EXPECT_TRUE(outcomes[i].failures.empty());
   }
-  EXPECT_EQ(sup.stats().spawned, 3u);
-  EXPECT_EQ(sup.stats().respawned, 0u);
+  EXPECT_EQ(sup.stats().workers_connected, 3u);
+  EXPECT_EQ(sup.stats().workers_respawned, 0u);
   EXPECT_EQ(sup.stats().tasks_failed, 0u);
 }
 
 TEST(Supervisor, MoreWorkersThanTasksIsFine) {
-  Supervisor sup(
-      [](std::size_t task, std::size_t) { return std::to_string(task); },
-      test_policy(8));
-  const std::vector<TaskOutcome> outcomes = sup.run(2);
+  Coordinator sup = fleet(
+      8, [](std::size_t task, std::size_t) { return std::to_string(task); });
+  const std::vector<TaskOutcome> outcomes = run(sup, 2);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].ok);
   EXPECT_TRUE(outcomes[1].ok);
 }
 
 TEST(Supervisor, ZeroTasksReturnsEmpty) {
-  Supervisor sup([](std::size_t, std::size_t) { return std::string(); },
-                 test_policy(2));
-  EXPECT_TRUE(sup.run(0).empty());
+  Coordinator sup =
+      fleet(2, [](std::size_t, std::size_t) { return std::string(); });
+  EXPECT_TRUE(run(sup, 0).empty());
 }
 
 TEST(Supervisor, TransientAbortIsRetriedOnAFreshWorker) {
   // Task 1 abort()s on its first attempt only; the respawned worker's
   // retry succeeds. The outcome carries the classified failure history.
-  Supervisor sup(
-      [](std::size_t task, std::size_t attempt) {
-        if (task == 1 && attempt == 0) std::abort();
-        return "ok-" + std::to_string(task);
-      },
-      test_policy(2));
-  const std::vector<TaskOutcome> outcomes = sup.run(4);
+  Coordinator sup = fleet(2, [](std::size_t task, std::size_t attempt) {
+    if (task == 1 && attempt == 0) std::abort();
+    return "ok-" + std::to_string(task);
+  });
+  const std::vector<TaskOutcome> outcomes = run(sup, 4);
   ASSERT_EQ(outcomes.size(), 4u);
   for (const TaskOutcome& outcome : outcomes) EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcomes[1].attempts, 2u);
@@ -88,25 +110,22 @@ TEST(Supervisor, TransientAbortIsRetriedOnAFreshWorker) {
   EXPECT_EQ(outcomes[1].failures[0].signature,
             "signal:" + std::to_string(SIGABRT));
   EXPECT_GE(outcomes[1].failures[0].burned_wall_us, 0.0);
-  EXPECT_EQ(sup.stats().respawned, 1u);
+  EXPECT_EQ(sup.stats().workers_respawned, 1u);
   EXPECT_EQ(sup.stats().exits_signal, 1u);
   EXPECT_EQ(sup.stats().tasks_retried, 1u);
   EXPECT_EQ(sup.stats().tasks_failed, 0u);
 }
 
 TEST(Supervisor, DeterministicCrasherFailsWithIdenticalSignatures) {
-  Supervisor sup(
-      [](std::size_t task, std::size_t) {
-        if (task == 0) std::abort();
-        return std::string("fine");
-      },
-      test_policy(2));
-  const std::vector<TaskOutcome> outcomes = sup.run(3);
+  Coordinator sup = fleet(2, [](std::size_t task, std::size_t) {
+    if (task == 0) std::abort();
+    return std::string("fine");
+  });
+  const std::vector<TaskOutcome> outcomes = run(sup, 3);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_FALSE(outcomes[0].ok);
-  EXPECT_EQ(outcomes[0].attempts, test_policy(2).max_task_attempts);
-  ASSERT_EQ(outcomes[0].failures.size(),
-            test_policy(2).max_task_attempts);
+  EXPECT_EQ(outcomes[0].attempts, test_policy().max_task_attempts);
+  ASSERT_EQ(outcomes[0].failures.size(), test_policy().max_task_attempts);
   EXPECT_TRUE(outcomes[0].failures_identical());
   // The other tasks were unaffected by their neighbour's crashes.
   EXPECT_TRUE(outcomes[1].ok);
@@ -115,13 +134,11 @@ TEST(Supervisor, DeterministicCrasherFailsWithIdenticalSignatures) {
 }
 
 TEST(Supervisor, TaskExceptionClassifiesAsNonzeroExit) {
-  Supervisor sup(
-      [](std::size_t task, std::size_t) -> std::string {
-        if (task == 0) throw std::runtime_error("boom");
-        return "fine";
-      },
-      test_policy(1));
-  const std::vector<TaskOutcome> outcomes = sup.run(2);
+  Coordinator sup = fleet(1, [](std::size_t task, std::size_t) -> std::string {
+    if (task == 0) throw std::runtime_error("boom");
+    return "fine";
+  });
+  const std::vector<TaskOutcome> outcomes = run(sup, 2);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_FALSE(outcomes[0].failures.empty());
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kNonzero);
@@ -132,12 +149,9 @@ TEST(Supervisor, TaskExceptionClassifiesAsNonzeroExit) {
 }
 
 TEST(Supervisor, ExplicitExitStatusClassifiesAsNonzero) {
-  Supervisor sup(
-      [](std::size_t, std::size_t) -> std::string {
-        ::_exit(7);
-      },
-      test_policy(1));
-  const std::vector<TaskOutcome> outcomes = sup.run(1);
+  Coordinator sup =
+      fleet(1, [](std::size_t, std::size_t) -> std::string { ::_exit(7); });
+  const std::vector<TaskOutcome> outcomes = run(sup, 1);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_FALSE(outcomes[0].failures.empty());
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kNonzero);
@@ -146,15 +160,16 @@ TEST(Supervisor, ExplicitExitStatusClassifiesAsNonzero) {
 }
 
 TEST(Supervisor, WatchdogKillsAStalledWorkerAsTimeout) {
-  SupervisorPolicy policy = test_policy(1);
+  DistPolicy policy = test_policy();
   policy.stall_timeout = 150ms;
   policy.max_task_attempts = 2;
-  Supervisor sup(
+  Coordinator sup = fleet(
+      1,
       [](std::size_t, std::size_t) -> std::string {
         for (;;) ::pause();  // never returns, heartbeats keep flowing
       },
       policy);
-  const std::vector<TaskOutcome> outcomes = sup.run(1);
+  const std::vector<TaskOutcome> outcomes = run(sup, 1);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_EQ(outcomes[0].failures.size(), 2u);
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kTimeout);
@@ -165,17 +180,18 @@ TEST(Supervisor, WatchdogKillsAStalledWorkerAsTimeout) {
 }
 
 TEST(Supervisor, WatchdogEscalatesToSigkillWhenSigtermIsBlocked) {
-  SupervisorPolicy policy = test_policy(1);
+  DistPolicy policy = test_policy();
   policy.stall_timeout = 150ms;
   policy.term_grace = 50ms;
   policy.max_task_attempts = 1;
-  Supervisor sup(
+  Coordinator sup = fleet(
+      1,
       [](std::size_t, std::size_t) -> std::string {
         ::signal(SIGTERM, SIG_IGN);  // a wedged worker that won't die nicely
         for (;;) ::pause();
       },
       policy);
-  const std::vector<TaskOutcome> outcomes = sup.run(1);
+  const std::vector<TaskOutcome> outcomes = run(sup, 1);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_FALSE(outcomes[0].failures.empty());
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kTimeout);
@@ -198,16 +214,17 @@ TEST(Supervisor, AddressSpaceLimitClassifiesAsOom) {
 #ifdef PEAK_NO_RLIMIT_AS
   GTEST_SKIP() << "RLIMIT_AS is incompatible with sanitizer shadow memory";
 #endif
-  SupervisorPolicy policy = test_policy(1);
+  DistPolicy policy = test_policy();
   policy.limits.address_space_bytes = 256u << 20;
   policy.max_task_attempts = 1;
-  Supervisor sup(
+  Coordinator sup = fleet(
+      1,
       [](std::size_t, std::size_t) -> std::string {
         std::vector<std::string> hog;
         for (;;) hog.emplace_back(8u << 20, 'x');
       },
       policy);
-  const std::vector<TaskOutcome> outcomes = sup.run(1);
+  const std::vector<TaskOutcome> outcomes = run(sup, 1);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_FALSE(outcomes[0].failures.empty());
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kOom);
@@ -216,17 +233,18 @@ TEST(Supervisor, AddressSpaceLimitClassifiesAsOom) {
 }
 
 TEST(Supervisor, CpuLimitKillsASpinningWorkerAsTimeout) {
-  SupervisorPolicy policy = test_policy(1);
+  DistPolicy policy = test_policy();
   policy.limits.cpu_seconds = 1;
   policy.stall_timeout = 60'000ms;  // the watchdog must NOT be the killer
   policy.max_task_attempts = 1;
-  Supervisor sup(
+  Coordinator sup = fleet(
+      1,
       [](std::size_t, std::size_t) -> std::string {
         volatile std::uint64_t sink = 0;
         for (;;) sink = sink + 1;
       },
       policy);
-  const std::vector<TaskOutcome> outcomes = sup.run(1);
+  const std::vector<TaskOutcome> outcomes = run(sup, 1);
   EXPECT_FALSE(outcomes[0].ok);
   ASSERT_FALSE(outcomes[0].failures.empty());
   EXPECT_EQ(outcomes[0].failures[0].cls, ExitClass::kTimeout);
@@ -235,19 +253,115 @@ TEST(Supervisor, CpuLimitKillsASpinningWorkerAsTimeout) {
 
 TEST(Supervisor, ShutdownRequestMidRoundThrowsAfterReapingTheFleet) {
   support::reset_shutdown();
-  Supervisor sup(
-      [](std::size_t task, std::size_t) {
-        if (task >= 2) ::usleep(50'000);
-        return std::to_string(task);
-      },
-      test_policy(2));
+  Coordinator sup = fleet(2, [](std::size_t task, std::size_t) {
+    if (task >= 2) ::usleep(50'000);
+    return std::to_string(task);
+  });
   std::thread trigger([] {
     ::usleep(20'000);
     support::request_shutdown();
   });
-  EXPECT_THROW(sup.run(64), support::ShutdownRequested);
+  EXPECT_THROW(run(sup, 64), support::ShutdownRequested);
   trigger.join();
   support::reset_shutdown();
+}
+
+/// Task 0 holds its worker until every other task is done, so the round
+/// can only finish if the other worker takes tasks 2, 4 and 6 from the
+/// stalled worker's queue. A static i mod W schedule never completes it.
+TEST(Supervisor, IdleWorkerStealsTheStalledWorkersQueue) {
+  // Shared across the fork: each finished task bumps the count.
+  void* shared = ::mmap(nullptr, sizeof(std::atomic<int>),
+                        PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                        -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* finished = new (shared) std::atomic<int>(0);
+  DistPolicy policy = test_policy();
+  policy.stall_timeout = 10'000ms;
+  policy.max_task_attempts = 1;
+  Coordinator sup = fleet(
+      2,
+      [finished](std::size_t task, std::size_t) {
+        if (task == 0)
+          while (finished->load() < 7) ::usleep(1'000);
+        else
+          finished->fetch_add(1);
+        return std::to_string(task) + "@" + std::to_string(::getpid());
+      },
+      policy);
+  const std::vector<TaskOutcome> outcomes = run(sup, 8);
+  ::munmap(shared, sizeof(std::atomic<int>));
+
+  ASSERT_EQ(outcomes.size(), 8u);
+  std::vector<std::string> pid_of(8);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << i;
+    const std::string prefix = std::to_string(i) + "@";
+    ASSERT_EQ(outcomes[i].payload.rfind(prefix, 0), 0u)
+        << "outcome " << i << " is " << outcomes[i].payload;
+    pid_of[i] = outcomes[i].payload.substr(prefix.size());
+  }
+  for (std::size_t stolen : {2u, 4u, 6u}) {
+    EXPECT_EQ(pid_of[stolen], pid_of[1]) << stolen;
+    EXPECT_NE(pid_of[stolen], pid_of[0]) << stolen;
+  }
+  EXPECT_EQ(sup.stats().workers_respawned, 0u);
+}
+
+/// The same shape through the driver: the worker holding task 0 of the
+/// first rounds of an --isolate-workers 2 tune is stopped for a while, so
+/// its sibling steals that worker's queue. Ratings are pure functions of
+/// content, so the outcome must not move.
+TEST(Supervisor, IsolatedTuneWithAStalledWorkerMatchesThreaded) {
+  const sim::MachineModel machine = sim::sparc2();
+  const sim::FlagEffectModel effects(search::gcc33_o3_space());
+  const auto workload = workloads::make_workload("SWIM");
+  const workloads::Trace train =
+      workload->trace(workloads::DataSet::kTrain, 42);
+  const core::ProfileData profile =
+      core::profile_workload(*workload, train, machine);
+  const auto tune = [&](const core::DriverOptions& options) {
+    core::TuningDriver driver(*workload, profile, train, machine, effects,
+                              options);
+    return driver.tune(rating::Method::kRBR);
+  };
+  core::DriverOptions threaded;
+  threaded.search_threads = 4;
+  const core::TuningOutcome baseline = tune(threaded);
+
+  // Dispatches (task, pid) per round; a round starts at task 0.
+  std::vector<std::vector<std::pair<std::size_t, pid_t>>> rounds;
+  std::vector<pid_t> stopped;
+  std::vector<std::thread> resumers;
+  set_dispatch_hook([&](std::size_t task, std::size_t attempt, pid_t pid) {
+    if (attempt != 0) return;
+    if (task == 0) {
+      rounds.emplace_back();
+      if (stopped.size() < 3 && ::kill(pid, SIGSTOP) == 0) {
+        stopped.push_back(pid);
+        resumers.emplace_back([pid] {
+          std::this_thread::sleep_for(200ms);
+          ::kill(pid, SIGCONT);
+        });
+      }
+    }
+    if (!rounds.empty()) rounds.back().emplace_back(task, pid);
+  });
+  core::DriverOptions isolated;
+  isolated.isolate_workers = 2;
+  const core::TuningOutcome outcome = tune(isolated);
+  set_dispatch_hook(nullptr);
+  for (std::thread& t : resumers) t.join();
+
+  EXPECT_EQ(outcome, baseline);
+  ASSERT_FALSE(stopped.empty());
+  // In a stalled round, an even task other than 0 (slot 0's queue) ran on
+  // a worker other than the stopped one: it was stolen.
+  std::size_t steals = 0;
+  for (std::size_t r = 0; r < stopped.size() && r < rounds.size(); ++r)
+    for (const auto& [task, pid] : rounds[r])
+      if (task != 0 && task % 2 == 0 && pid != stopped[r]) ++steals;
+  EXPECT_GE(steals, 1u);
 }
 
 TEST(TaskOutcomeFailures, IdenticalRequiresAtLeastOneAndUniformity) {
@@ -314,12 +428,12 @@ TEST(WorkerTableRows, DrainedWorkerIsExitingUntilReaped) {
       if (row.slot == slot) at_drain.push_back(row);
     live_at_drain = table.live_pids();
   });
-  SupervisorPolicy policy = test_policy(2);
+  DistPolicy policy = test_policy();
   policy.update_worker_table = true;
-  Supervisor sup(
-      [](std::size_t task, std::size_t) { return std::to_string(task); },
+  Coordinator sup = fleet(
+      2, [](std::size_t task, std::size_t) { return std::to_string(task); },
       policy);
-  const std::vector<TaskOutcome> outcomes = sup.run(5);
+  const std::vector<TaskOutcome> outcomes = run(sup, 5);
   set_drain_hook(nullptr);
 
   ASSERT_EQ(outcomes.size(), 5u);

@@ -477,7 +477,7 @@ int cmd_tune_driver(const Args& args,
   } catch (const support::ShutdownRequested& e) {
     // Unwinding through here runs the driver/cache/telemetry destructors:
     // the journal and rating cache are already durable per record, the
-    // telemetry server stops, and the supervisor (if any) has reaped its
+    // telemetry server stops, and a forked fleet (if any) has reaped its
     // workers before rethrowing. A distributed fleet gets an explicit
     // goodbye first: the in-flight round has already drained (shutdown
     // only surfaces between rounds), so every worker is idle and the bye
